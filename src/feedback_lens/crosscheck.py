@@ -31,6 +31,7 @@ from .feedback import (
     closed_form_rx_case2,
     exact_rx_case1,
     exact_rx_case2,
+    require_case,
 )
 from .netlist import GROUND, Resistor, Vccs, Vcvs
 from .smallsignal import LinearCircuit
@@ -41,13 +42,6 @@ CASE2_PORT = ("e", GROUND)
 # Documented closed-vs-exact error levels at the typical operating point,
 # as (center, half-width) fractions: 0.5% +/- 0.05pp and 5.01% +/- 0.1pp.
 CLOSED_FORM_ERROR_BANDS = {1: (0.005, 0.0005), 2: (0.0501, 0.001)}
-
-
-def _linear_circuit(elements) -> LinearCircuit:
-    nodes = {GROUND}
-    for e in elements:
-        nodes.update(e.terminals)
-    return LinearCircuit(frozenset(nodes), tuple(elements), {})
 
 
 def build_case1_circuit(p: AmplifierParams) -> LinearCircuit:
@@ -64,7 +58,7 @@ def build_case1_circuit(p: AmplifierParams) -> LinearCircuit:
     ]
     if math.isfinite(p.R_in):
         elements.append(Resistor("rin", "e", GROUND, p.R_in))
-    return _linear_circuit(elements)
+    return LinearCircuit.of(elements)
 
 
 def build_case2_circuit(p: AmplifierParams) -> LinearCircuit:
@@ -83,7 +77,7 @@ def build_case2_circuit(p: AmplifierParams) -> LinearCircuit:
     ]
     if math.isfinite(p.R_in):
         elements.append(Resistor("rin", "c", GROUND, p.R_in))
-    return _linear_circuit(elements)
+    return LinearCircuit.of(elements)
 
 
 def case1_equations(p: AmplifierParams):
@@ -122,26 +116,26 @@ def case2_flow_graph(p: AmplifierParams) -> sfg.FlowGraph:
 
 
 def mason_rx(case: int, p: AmplifierParams) -> float:
+    require_case(case)
     if case == 1:
         return 1.0 / sfg.mason_gain(case1_flow_graph(p), "v_x", "i_x")
-    if case == 2:
-        return sfg.mason_gain(case2_flow_graph(p), "i_x", "v_x")
-    raise ValueError("case must be 1 or 2")
+    return sfg.mason_gain(case2_flow_graph(p), "i_x", "v_x")
 
 
 def mna_rx(case: int, p: AmplifierParams) -> float:
+    require_case(case)
     if case == 1:
         return mna.driving_point_impedance(build_case1_circuit(p), CASE1_PORT)
-    if case == 2:
-        return mna.driving_point_impedance(build_case2_circuit(p), CASE2_PORT)
-    raise ValueError("case must be 1 or 2")
+    return mna.driving_point_impedance(build_case2_circuit(p), CASE2_PORT)
 
 
 def closed_rx(case: int, p: AmplifierParams) -> float:
+    require_case(case)
     return closed_form_rx_case1(p) if case == 1 else closed_form_rx_case2(p)
 
 
 def exact_rx(case: int, p: AmplifierParams) -> float:
+    require_case(case)
     return exact_rx_case1(p) if case == 1 else exact_rx_case2(p)
 
 
@@ -195,21 +189,9 @@ def flow_graph_of_system(system: mna.MnaSystem, source: str = "src") -> sfg.Flow
 def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     """Driving-point impedance computed by Mason's rule on the flow graph of
     the probed nodal system; independent second route to the LU solve."""
-    from .netlist import VSource
-
-    zeroed = mna.zero_independent_sources(lc)
-    test = VSource("__probe", port[0], port[1], 1.0)
-    probed = LinearCircuit(
-        zeroed.nodes | {port[0], port[1], GROUND},
-        zeroed.elements + (test,),
-        zeroed.provenance,
-    )
-    system = mna.assemble(probed)
-    graph = flow_graph_of_system(system)
-    gain = sfg.mason_gain(graph, "src", "I(__probe)")
-    if gain == 0.0:
-        return math.inf
-    return -1.0 / gain
+    graph = flow_graph_of_system(mna.probed_system(lc, port))
+    gain = sfg.mason_gain(graph, "src", f"I({mna.TEST_SOURCE})")
+    return mna.impedance_from_current(-gain)
 
 
 # --------------------------------------------------------------------------

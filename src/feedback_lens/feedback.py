@@ -172,8 +172,8 @@ def _conduction_terminals(e) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class _Classification:
     topology: FeedbackTopology
-    mix_node: str | None  # feedback attachment on the input side
-    sense_node: str | None  # feedback attachment on the output side
+    input_side: tuple[str, str]  # feedback port facing the amplifier input
+    output_side: tuple[str, str]  # feedback port facing the amplifier output
 
 
 def _require_annotations(circuit: Circuit):
@@ -254,7 +254,9 @@ def _classify(circuit: Circuit) -> _Classification:
             )
 
     topo = FeedbackTopology(input_mix, output_sense, validity)
-    return _Classification(topo, mix_node, sense_node)
+    input_side = (mix_node, i_minus if mix_node != i_minus else GROUND)
+    output_side = (sense_node, o_minus if sense_node != o_minus else GROUND)
+    return _Classification(topo, input_side, output_side)
 
 
 def classify_topology(circuit: Circuit) -> FeedbackTopology:
@@ -267,25 +269,13 @@ def classify_topology(circuit: Circuit) -> FeedbackTopology:
 def feedback_ports(circuit: Circuit) -> tuple[tuple[str, str], tuple[str, str]]:
     """Node pairs through which the feedback network faces the input side
     and the output side of the amplifier."""
-    ann = circuit.annotations
     cls = _classify(circuit)
-    i_minus = ann.input_port[1]
-    o_minus = ann.output_port[1]
-    input_side = (cls.mix_node, i_minus if cls.mix_node != i_minus else GROUND)
-    output_side = (cls.sense_node, o_minus if cls.sense_node != o_minus else GROUND)
-    return input_side, output_side
+    return cls.input_side, cls.output_side
 
 
 # --------------------------------------------------------------------------
 # Loading extraction (measured on the isolated feedback network)
 # --------------------------------------------------------------------------
-
-def _with_elements(fb: LinearCircuit, extra) -> LinearCircuit:
-    nodes = set(fb.nodes) | {GROUND}
-    for e in extra:
-        nodes.update(e.terminals)
-    return LinearCircuit(frozenset(nodes), fb.elements + tuple(extra), fb.provenance)
-
 
 def loading_effect(
     fb: LinearCircuit,
@@ -306,7 +296,7 @@ def loading_effect(
     def dpi(port, shorted):
         probe = fb
         if shorted is not None:
-            probe = _with_elements(fb, [VSource("__short", shorted[0], shorted[1], 0.0)])
+            probe = fb.with_elements(VSource("__short", shorted[0], shorted[1], 0.0))
         return mna.driving_point_impedance(probe, port)
 
     r_if = dpi(input_port, output_port if topo.output_sense is Mixing.SHUNT else None)
@@ -321,11 +311,11 @@ def loading_effect(
 
     if topo.input_mix is Mixing.SHUNT:
         short = VSource("__mix_short", input_port[0], input_port[1], 0.0)
-        probe = _with_elements(fb, [excitation, short])
+        probe = fb.with_elements(excitation, short)
         solution = mna.solve_circuit(probe)
         f = -solution.branch_currents["__mix_short"]
     else:
-        probe = _with_elements(fb, [excitation])
+        probe = fb.with_elements(excitation)
         solution = mna.solve_circuit(probe)
         f = solution.across(input_port)
 
@@ -335,9 +325,8 @@ def loading_effect(
 def loading_of_circuit(circuit: Circuit) -> LoadingModel:
     """Classify, isolate the feedback network and measure its loading."""
     cls = _classify(circuit)
-    input_side, output_side = feedback_ports(circuit)
     fb = restrict(linearize(circuit), circuit.annotations.feedback_elements)
-    return loading_effect(fb, cls.topology, input_side, output_side)
+    return loading_effect(fb, cls.topology, cls.input_side, cls.output_side)
 
 
 # --------------------------------------------------------------------------
@@ -358,13 +347,17 @@ def one_plus_af_case2(p: AmplifierParams) -> float:
     return 1.0 + p.K * p.R1 / (p.R2 + (p.r_out + p.r_pi) / p.beta)
 
 
+def require_case(case: int):
+    if case not in (1, 2):
+        raise ValueError("case must be 1 or 2")
+
+
 def branch_resistance_feedback(p: AmplifierParams, case: int) -> float:
     """Output-branch resistance boosted by the loop gain (R_bf)."""
+    require_case(case)
     if case == 1:
         return (p.R1 + (p.r_out + p.r_pi) / (p.beta + 1.0)) * one_plus_af_case1(p)
-    if case == 2:
-        return (p.R2 + (p.r_out + p.r_pi) / p.beta) * one_plus_af_case2(p)
-    raise ValueError("case must be 1 or 2")
+    return (p.R2 + (p.r_out + p.r_pi) / p.beta) * one_plus_af_case2(p)
 
 
 def rx_from_branch_case2(p: AmplifierParams) -> float:
@@ -440,8 +433,7 @@ def output_resistance(R_X: float, R2: float) -> float:
 def analyze_case(p: AmplifierParams, case: int) -> FeedbackAnalysis:
     """Closed-loop summary of one output-series case: both cases are
     series-series, loaded by the single sense resistor R1."""
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
+    require_case(case)
     topo = FeedbackTopology(Mixing.SERIES, Mixing.SERIES, Validity.VALID)
     loading = LoadingModel(R_if=p.R1, R_of=p.R1, f=p.R1)
     one_plus_af = one_plus_af_case1(p) if case == 1 else one_plus_af_case2(p)

@@ -103,16 +103,6 @@ class FlowGraph:
         out = [(v, g) for (a, v), g in self._edges.items() if a == u]
         return tuple(sorted(out))
 
-    def without_nodes(self, removed: set[str]) -> "FlowGraph":
-        sub = FlowGraph()
-        for (u, v), g in self._edges.items():
-            if u not in removed and v not in removed:
-                sub.add_edge(u, v, g)
-        for n in self.nodes:
-            if n not in removed:
-                sub.add_node(n)
-        return sub
-
 
 def from_linear_system(
     equations: "list[tuple[str, list[tuple[float, str]]]]",

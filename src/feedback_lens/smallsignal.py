@@ -11,6 +11,7 @@ rout, driving the out terminal through a synthesized internal node named
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .netlist import (
@@ -39,6 +40,21 @@ class LinearCircuit:
     nodes: frozenset[str]
     elements: tuple[Primitive, ...]
     provenance: dict[str, str]  # primitive element name -> originating macro
+
+    @classmethod
+    def of(
+        cls, elements: Iterable[Primitive], provenance: dict[str, str] | None = None
+    ) -> "LinearCircuit":
+        """Circuit whose nodes are ground plus every element terminal."""
+        elements = tuple(elements)
+        nodes = {GROUND}
+        for e in elements:
+            nodes.update(e.terminals)
+        return cls(frozenset(nodes), elements, dict(provenance or {}))
+
+    def with_elements(self, *extra: Primitive) -> "LinearCircuit":
+        """This circuit plus ``extra``, with the node set derived again."""
+        return LinearCircuit.of(self.elements + extra, self.provenance)
 
     def element(self, name: str) -> Primitive:
         for e in self.elements:
@@ -90,22 +106,12 @@ def linearize(circuit: Circuit) -> LinearCircuit:
         for part in expansion:
             provenance[part.name] = e.name
         elements.extend(expansion)
-
-    nodes = set(circuit.nodes)
-    for e in elements:
-        nodes.update(e.terminals)
-    return LinearCircuit(frozenset(nodes), tuple(elements), provenance)
+    return LinearCircuit.of(elements, provenance)
 
 
 def restrict(lc: LinearCircuit, names: frozenset[str] | set[str]) -> LinearCircuit:
     """Sub-circuit containing only the named elements (macro names allowed,
     selecting everything they expanded to)."""
-    keep = []
-    for e in lc.elements:
-        if e.name in names or lc.provenance.get(e.name) in names:
-            keep.append(e)
-    nodes = {GROUND}
-    for e in keep:
-        nodes.update(e.terminals)
+    keep = [e for e in lc.elements if e.name in names or lc.provenance.get(e.name) in names]
     provenance = {e.name: lc.provenance[e.name] for e in keep if e.name in lc.provenance}
-    return LinearCircuit(frozenset(nodes), tuple(keep), provenance)
+    return LinearCircuit.of(keep, provenance)

@@ -15,13 +15,6 @@ from feedback_lens.netlist import GROUND, Resistor
 from feedback_lens.smallsignal import LinearCircuit
 
 
-def linear_circuit(elements) -> LinearCircuit:
-    nodes = {GROUND}
-    for e in elements:
-        nodes.update(e.terminals)
-    return LinearCircuit(frozenset(nodes), tuple(elements), {})
-
-
 def random_resistor_mesh(rng: np.random.Generator, n_nodes: int = 5,
                          extra_edges: int = 4) -> LinearCircuit:
     """Connected resistor network on nodes n1..nN plus ground: a random
@@ -42,7 +35,7 @@ def random_resistor_mesh(rng: np.random.Generator, n_nodes: int = 5,
         i, j = rng.integers(0, len(names), size=2)
         if i != j:
             add(names[int(i)], names[int(j)])
-    return linear_circuit(elements)
+    return LinearCircuit.of(elements)
 
 
 def conductance_impedance_oracle(lc: LinearCircuit, port: tuple[str, str]) -> float:

@@ -24,9 +24,9 @@ from feedback_lens import crosscheck as cc, feedback as fb, mna, sfg
 from feedback_lens.cli import main as cli_main
 from feedback_lens.feedback import AmplifierParams, Mixing, Validity
 from feedback_lens.netlist import GROUND, ISource, Resistor, VSource, parse_netlist_file
+from feedback_lens.smallsignal import LinearCircuit
 from support import (
     draw_params,
-    linear_circuit,
     random_causal_system,
     random_resistor_mesh,
 )
@@ -125,7 +125,7 @@ def test_criterion_5_loading_golden():
     for _ in range(100):
         r1 = float(10 ** rng.uniform(1, 7))
         r2 = float(10 ** rng.uniform(1, 7))
-        net = linear_circuit(
+        net = LinearCircuit.of(
             [Resistor("R1", "in", "m", r1), Resistor("R2", "m", GROUND, r2)]
         )
         loading = fb.loading_effect(net, topo, ("in", GROUND), ("m", GROUND))
@@ -182,12 +182,12 @@ def test_criterion_7_mna_property_suite():
         mesh = random_resistor_mesh(rng, n_nodes=5)
         v_src = VSource("Vs", "n1", GROUND, float(rng.uniform(0.5, 5.0)))
         i_src = ISource("Is", GROUND, "n3", float(rng.uniform(0.1, 2.0)))
-        both = mna.solve_circuit(linear_circuit(mesh.elements + (v_src, i_src)))
+        both = mna.solve_circuit(LinearCircuit.of(mesh.elements + (v_src, i_src)))
         only_v = mna.solve_circuit(
-            linear_circuit(mesh.elements + (v_src, ISource("Is", GROUND, "n3", 0.0)))
+            LinearCircuit.of(mesh.elements + (v_src, ISource("Is", GROUND, "n3", 0.0)))
         )
         only_i = mna.solve_circuit(
-            linear_circuit(mesh.elements + (VSource("Vs", "n1", GROUND, 0.0), i_src))
+            LinearCircuit.of(mesh.elements + (VSource("Vs", "n1", GROUND, 0.0), i_src))
         )
         for node in both.node_voltages:
             total = only_v.voltage(node) + only_i.voltage(node)
@@ -198,16 +198,16 @@ def test_criterion_7_mna_property_suite():
     for _ in range(40):
         ra = float(10 ** rng.uniform(1, 7))
         rb = float(10 ** rng.uniform(1, 7))
-        parallel = linear_circuit(
+        parallel = LinearCircuit.of(
             [Resistor("Ra", "p", GROUND, ra), Resistor("Rb", "p", GROUND, rb)]
         )
-        series = linear_circuit(
+        series = LinearCircuit.of(
             [Resistor("Ra", "p", "m", ra), Resistor("Rb", "m", GROUND, rb)]
         )
         track(mna.driving_point_impedance(parallel, ("p", GROUND)), ra * rb / (ra + rb))
         track(mna.driving_point_impedance(series, ("p", GROUND)), ra + rb)
 
-    contradictory = linear_circuit(
+    contradictory = LinearCircuit.of(
         [
             VSource("V1", "a", GROUND, 1.0),
             VSource("V2", "a", GROUND, 2.0),

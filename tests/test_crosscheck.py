@@ -1,11 +1,12 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from feedback_lens import crosscheck as cc, mna
-from feedback_lens.feedback import AmplifierParams
+from feedback_lens.feedback import AmplifierParams, exact_rx_case2
 from feedback_lens.netlist import GROUND, parse_netlist_file
 from feedback_lens.smallsignal import linearize
 
@@ -30,6 +31,25 @@ def test_case2_report_golden():
         assert report.values[engine] == pytest.approx(956986.6698405, rel=1e-9)
     assert abs(report.closed_form_error - 0.0501) <= 0.001
     assert report.verdict == "pass"
+
+
+@pytest.mark.parametrize("engine", [cc.closed_rx, cc.exact_rx, cc.mason_rx, cc.mna_rx])
+@pytest.mark.parametrize("case", [0, 3])
+def test_engines_reject_unknown_case(engine, case):
+    with pytest.raises(ValueError, match="case must be 1 or 2"):
+        engine(case, TYPICAL)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-16,
+    reason="the nodal solver's accuracy relies on 80-bit extended precision",
+)
+def test_mna_rx_exact_on_badly_scaled_port():
+    # Conductances span 1.7e-7 to 0.94 S; a LAPACK solve refined in extended
+    # precision lands 6.4e-9 from the exact value here.
+    values = dict(K=69e3, r_out=30e3, R1=5.8e6, g_m=0.94, r_pi=290.0, r_o=1.6e6)
+    exact = exact_rx_case2(AmplifierParams(**{k: Fraction(v) for k, v in values.items()}))
+    assert cc.mna_rx(2, AmplifierParams(**values)) == pytest.approx(float(exact), rel=1e-9)
 
 
 def test_case2_error_shrinks_with_small_driver_resistance():

@@ -17,7 +17,8 @@ from feedback_lens.netlist import (
     parse_netlist,
     parse_netlist_file,
 )
-from support import draw_params, linear_circuit
+from feedback_lens.smallsignal import LinearCircuit
+from support import draw_params
 
 TYPICAL = AmplifierParams.typical()
 
@@ -128,7 +129,7 @@ def test_classify_requires_annotations():
 
 def _bridge_network(r1, r2):
     """Input-node to sense-node bridge r1, sense-node to ground r2."""
-    return linear_circuit(
+    return LinearCircuit.of(
         [Resistor("R1", "in", "m", r1), Resistor("R2", "m", GROUND, r2)]
     )
 
@@ -153,7 +154,7 @@ def test_bridge_network_loading_golden():
 
 
 def test_single_resistor_shunt_shunt():
-    net = linear_circuit([Resistor("RF", "in", "out", 47e3)])
+    net = LinearCircuit.of([Resistor("RF", "in", "out", 47e3)])
     loading = fb.loading_effect(net, SHUNT_SHUNT, ("in", GROUND), ("out", GROUND))
     assert loading.R_if == pytest.approx(47e3, rel=1e-12)
     assert loading.R_of == pytest.approx(47e3, rel=1e-12)
@@ -161,7 +162,7 @@ def test_single_resistor_shunt_shunt():
 
 
 def test_single_resistor_series_series():
-    net = linear_circuit([Resistor("R1", "e", GROUND, 1e3)])
+    net = LinearCircuit.of([Resistor("R1", "e", GROUND, 1e3)])
     loading = fb.loading_effect(net, SERIES_SERIES, ("e", GROUND), ("e", GROUND))
     assert loading.R_if == pytest.approx(1e3, rel=1e-12)
     assert loading.R_of == pytest.approx(1e3, rel=1e-12)
@@ -174,7 +175,7 @@ def test_t_network_series_series_matches_z_parameters():
     rng = np.random.default_rng(23)
     for _ in range(25):
         ra, rb, rc = (float(10 ** rng.uniform(1, 6)) for _ in range(3))
-        net = linear_circuit(
+        net = LinearCircuit.of(
             [
                 Resistor("Ra", "p1", "t", ra),
                 Resistor("Rb", "t", "p2", rb),
@@ -192,7 +193,7 @@ def test_divider_series_shunt():
     rng = np.random.default_rng(29)
     for _ in range(10):
         ra, rb = (float(10 ** rng.uniform(1, 6)) for _ in range(2))
-        net = linear_circuit(
+        net = LinearCircuit.of(
             [Resistor("Ra", "out", "e", ra), Resistor("Rb", "e", GROUND, rb)]
         )
         loading = fb.loading_effect(net, SERIES_SHUNT, ("e", GROUND), ("out", GROUND))
@@ -202,7 +203,7 @@ def test_divider_series_shunt():
 
 
 def test_loading_rejects_active_feedback():
-    net = linear_circuit(
+    net = LinearCircuit.of(
         [Resistor("R1", "a", GROUND, 1e3), VSource("V1", "a", GROUND, 1.0)]
     )
     with pytest.raises(ValueError):
@@ -342,7 +343,7 @@ def test_exact_formulas_match_nodal_models_on_random_draws():
 
 
 def test_open_loop_current_matches_nodal_transfer():
-    lc = linear_circuit(
+    lc = LinearCircuit.of(
         [
             VSource("Vin", "vin", GROUND, 1.0),
             Vcvs("Eop", "t", GROUND, "vin", GROUND, TYPICAL.K),

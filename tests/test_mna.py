@@ -5,9 +5,9 @@ import pytest
 
 from feedback_lens import mna
 from feedback_lens.netlist import GROUND, ISource, Resistor, Vcvs, VSource, parse_netlist
-from feedback_lens.smallsignal import linearize
+from feedback_lens.smallsignal import LinearCircuit, linearize
 
-from support import conductance_impedance_oracle, linear_circuit, random_resistor_mesh
+from support import conductance_impedance_oracle, random_resistor_mesh
 
 # Nodal solutions of the two measurement models, computed from their node
 # equations with an independent numpy solve before the solver was written.
@@ -23,7 +23,7 @@ def test_assemble_dimensions():
 
 
 def test_assemble_empty_circuit():
-    system = mna.assemble(linear_circuit([]))
+    system = mna.assemble(LinearCircuit.of([]))
     assert system.dimension == 0
     assert mna.solve(system) == mna.Solution({}, {})
 
@@ -40,13 +40,13 @@ def test_voltage_divider():
 
 def test_current_source_direction():
     # 1 A drawn from ground and delivered into node a across 50 ohm.
-    lc = linear_circuit([ISource("I1", GROUND, "a", 1.0), Resistor("R1", "a", GROUND, 50.0)])
+    lc = LinearCircuit.of([ISource("I1", GROUND, "a", 1.0), Resistor("R1", "a", GROUND, 50.0)])
     solution = mna.solve_circuit(lc)
     assert solution.voltage("a") == pytest.approx(50.0, rel=1e-12)
 
 
 def test_contradictory_sources_raise():
-    lc = linear_circuit(
+    lc = LinearCircuit.of(
         [
             VSource("V1", "a", GROUND, 1.0),
             VSource("V2", "a", GROUND, 2.0),
@@ -58,7 +58,7 @@ def test_contradictory_sources_raise():
 
 
 def test_floating_subcircuit_raises():
-    lc = linear_circuit(
+    lc = LinearCircuit.of(
         [
             VSource("V1", "a", GROUND, 1.0),
             Resistor("R1", "a", GROUND, 1e3),
@@ -83,7 +83,7 @@ def test_driving_point_zeroes_sources():
 
 
 def test_open_port_reports_infinity():
-    lc = linear_circuit([Resistor("R1", "a", GROUND, 1e3)])
+    lc = LinearCircuit.of([Resistor("R1", "a", GROUND, 1e3)])
     assert mna.driving_point_impedance(lc, ("floating", GROUND)) == math.inf
 
 
@@ -119,8 +119,8 @@ def test_reciprocity_on_passive_networks():
         assert forward == pytest.approx(backward, rel=1e-12)
         # transfer reciprocity: voltage at (n3,0) per amp into (n1,0) equals
         # voltage at (n1,0) per amp into (n3,0)
-        a = linear_circuit(mesh.elements + (ISource("Iprobe", GROUND, "n1", 1.0),))
-        b = linear_circuit(mesh.elements + (ISource("Iprobe", GROUND, "n3", 1.0),))
+        a = LinearCircuit.of(mesh.elements + (ISource("Iprobe", GROUND, "n1", 1.0),))
+        b = LinearCircuit.of(mesh.elements + (ISource("Iprobe", GROUND, "n3", 1.0),))
         va = mna.solve_circuit(a).voltage("n3")
         vb = mna.solve_circuit(b).voltage("n1")
         assert va == pytest.approx(vb, rel=1e-12)
@@ -132,12 +132,12 @@ def test_superposition():
         mesh = random_resistor_mesh(rng, n_nodes=5)
         v_src = VSource("Vs", "n1", GROUND, float(rng.uniform(0.5, 5.0)))
         i_src = ISource("Is", GROUND, "n3", float(rng.uniform(0.1, 2.0)))
-        both = mna.solve_circuit(linear_circuit(mesh.elements + (v_src, i_src)))
+        both = mna.solve_circuit(LinearCircuit.of(mesh.elements + (v_src, i_src)))
         only_v = mna.solve_circuit(
-            linear_circuit(mesh.elements + (v_src, ISource("Is", GROUND, "n3", 0.0)))
+            LinearCircuit.of(mesh.elements + (v_src, ISource("Is", GROUND, "n3", 0.0)))
         )
         only_i = mna.solve_circuit(
-            linear_circuit(mesh.elements + (VSource("Vs", "n1", GROUND, 0.0), i_src))
+            LinearCircuit.of(mesh.elements + (VSource("Vs", "n1", GROUND, 0.0), i_src))
         )
         for node in both.node_voltages:
             total = only_v.voltage(node) + only_i.voltage(node)
@@ -149,10 +149,10 @@ def test_parallel_and_series_composition():
     for _ in range(25):
         ra = float(10 ** rng.uniform(1, 7))
         rb = float(10 ** rng.uniform(1, 7))
-        parallel = linear_circuit(
+        parallel = LinearCircuit.of(
             [Resistor("Ra", "p", GROUND, ra), Resistor("Rb", "p", GROUND, rb)]
         )
-        series = linear_circuit(
+        series = LinearCircuit.of(
             [Resistor("Ra", "p", "m", ra), Resistor("Rb", "m", GROUND, rb)]
         )
         assert mna.driving_point_impedance(parallel, ("p", GROUND)) == pytest.approx(
@@ -166,7 +166,7 @@ def test_parallel_and_series_composition():
 def test_transfer_divider_and_buffer():
     divider = linearize(parse_netlist("V1 a 0 5\nR1 a m 1k\nR2 m 0 1k"))
     assert mna.transfer(divider, "V1", ("m", GROUND)) == pytest.approx(0.5, rel=1e-12)
-    buffer = linear_circuit(
+    buffer = LinearCircuit.of(
         [
             VSource("V1", "a", GROUND, 2.0),
             Resistor("R1", "a", GROUND, 1e3),
@@ -185,7 +185,7 @@ def test_transfer_open_loop_branch_current():
 
     beta, k, r_out, r_pi, r1 = 100.0, 1000.0, 500e3, 2.5e3, 1e3
     gm = beta / r_pi
-    lc = linear_circuit(
+    lc = LinearCircuit.of(
         [
             VSource("Vin", "vin", GROUND, 1.0),
             Vcvs("Eop", "t", GROUND, "vin", GROUND, k),
@@ -199,6 +199,14 @@ def test_transfer_open_loop_branch_current():
     i_o_per_volt = mna.transfer(lc, "Vin", ("e", GROUND)) / r1
     assert i_o_per_volt == pytest.approx(expected, rel=1e-9)
     assert expected == pytest.approx(202.0 / 1207.0, rel=1e-12)
+
+
+def test_transfer_drops_nodes_of_zeroed_current_sources():
+    # x is touched only by I1, which zeroing opens; it must not stay an
+    # unknown with an empty row.
+    lc = linearize(parse_netlist("I1 0 x 1\nI2 0 a 1\nR1 a 0 1k"))
+    assert mna.transfer(lc, "I2", ("a", GROUND)) == pytest.approx(1000.0, rel=1e-12)
+    assert mna.driving_point_impedance(lc, ("a", GROUND)) == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_transfer_unknown_source():
