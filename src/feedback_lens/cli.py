@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -25,8 +24,8 @@ from .feedback import (
     classify_topology,
     loading_of_circuit,
 )
-from .netlist import GROUND, NetlistError, Resistor, Vccs, Vcvs, parse_netlist_file, validate
-from .smallsignal import InvalidMacroParams, LinearCircuit, linearize
+from .netlist import NetlistError, parse_netlist_file, parse_value, validate
+from .smallsignal import InvalidMacroParams, linearize
 
 FORMAT_ENV = "FEEDBACK_LENS_FORMAT"
 
@@ -48,9 +47,7 @@ def _resolve_format(args) -> str:
     if args.format:
         return args.format
     env = os.environ.get(FORMAT_ENV, "").strip().lower()
-    if env in ("table", "json"):
-        return env
-    return "table"
+    return env if env in ("table", "json") else "table"
 
 
 def _load_valid_circuit(path: str):
@@ -117,83 +114,14 @@ def cmd_loading(args) -> int:
     return 0
 
 
-def _recognize_case(lc: LinearCircuit, port) -> tuple[int, AmplifierParams] | None:
-    """Match the linearized circuit against one of the two measurement
-    patterns and recover its parameters; None when it is anything else."""
-    vccs = [e for e in lc.elements if isinstance(e, Vccs)]
-    vcvs = [e for e in lc.elements if isinstance(e, Vcvs)]
-    resistors = [e for e in lc.elements if isinstance(e, Resistor)]
-    if len(vccs) != 1 or len(lc.elements) != len(vccs) + len(vcvs) + len(resistors):
-        return None
-    gm_src = vccs[0]
-    c, e, b = gm_src.n1, gm_src.n2, gm_src.cp
-    if gm_src.cn != e:
-        return None
-
-    def resistor_between(n1, n2):
-        found = [r for r in resistors if {r.n1, r.n2} == {n1, n2}]
-        return found[0] if len(found) == 1 else None
-
-    ro = resistor_between(c, e)
-    if ro is None:
-        return None
-
-    for case, (sense_top, ctrl) in ((1, (e, (GROUND, e))), (2, (c, (c, GROUND)))):
-        gain_srcs = [x for x in vcvs if (x.cp, x.cn) == ctrl and x.n2 == GROUND]
-        if len(gain_srcs) != 1 or gain_srcs[0].gain <= 0:
-            continue
-        op = gain_srcs[0]
-        rout = resistor_between(op.n1, b)
-        r1 = resistor_between(sense_top, GROUND)
-        if rout is None or r1 is None or r1 is ro:
-            continue
-        if case == 1:
-            rpi = resistor_between(b, e)
-            extra_vcvs = [x for x in vcvs if x is not op]
-        else:
-            buffers = [
-                x for x in vcvs
-                if x is not op and x.gain == 1.0 and (x.cp, x.cn) == (e, GROUND) and x.n2 == GROUND
-            ]
-            if len(buffers) != 1:
-                continue
-            rpi = resistor_between(b, buffers[0].n1)
-            extra_vcvs = [x for x in vcvs if x is not op and x is not buffers[0]]
-        if rpi is None or extra_vcvs:
-            continue
-        expected_port = (c, GROUND) if case == 1 else (e, GROUND)
-        if tuple(port) != expected_port:
-            continue
-        named = {r.name for r in (ro, rout, r1, rpi)}
-        rin = [r for r in resistors if r.name not in named]
-        if len(rin) > 1 or (rin and {rin[0].n1, rin[0].n2} != {sense_top, GROUND}):
-            continue
-        params = AmplifierParams(
-            K=op.gain,
-            r_out=rout.ohms,
-            R1=r1.ohms,
-            g_m=gm_src.gm,
-            r_pi=rpi.ohms,
-            r_o=ro.ohms,
-            R_in=rin[0].ohms if rin else math.inf,
-        )
-        return case, params
-    return None
-
-
 def cmd_impedance(args) -> int:
-    circuit = _load_valid_circuit(args.netlist)
-    lc = linearize(circuit)
-    port = (args.port[0], args.port[1])
-    for node in port:
-        if node not in lc.nodes:
-            print(f"error: unknown node {node!r}", file=sys.stderr)
-            return 1
+    lc = linearize(_load_valid_circuit(args.netlist))
+    port = tuple(args.port)
+    mna.require_nodes(lc, port)
     values = {"mna": mna.driving_point_impedance(lc, port)}
     if args.all_engines:
         values["mason"] = crosscheck.mason_driving_point_impedance(lc, port)
-        matched = _recognize_case(lc, port)
-        if matched is not None:
+        if matched := crosscheck.recognize_case(lc, port):
             case, params = matched
             values["closed_form"] = crosscheck.closed_rx(case, params)
             values["exact_formula"] = crosscheck.exact_rx(case, params)
@@ -210,8 +138,6 @@ def cmd_impedance(args) -> int:
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
-    from .netlist import parse_value
-
     overrides = {}
     valid = {f for f in AmplifierParams.__dataclass_fields__}
     for pair in pairs:
@@ -228,19 +154,15 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
 def cmd_crosscheck(args) -> int:
     overrides = _parse_overrides(args.set or [])
     params = AmplifierParams.typical(**overrides)
-    band = None
-    if args.paper_defaults and not overrides:
-        band = crosscheck.CLOSED_FORM_ERROR_BANDS[args.case]
-    config = crosscheck.CrossCheckConfig(
-        engine_rtol=args.engine_rtol, closed_error_band=band
-    )
+    # the documented closed-form error level holds at the typical point only
+    typical = args.paper_defaults and not overrides and not args.sweep
+    band = crosscheck.CLOSED_FORM_ERROR_BANDS[args.case] if typical else None
+    config = crosscheck.CrossCheckConfig(engine_rtol=args.engine_rtol, closed_error_band=band)
 
     if args.sweep:
         axis, _, raw = args.sweep.partition("=")
         if not raw:
             raise ValueError("--sweep expects axis=v1,v2,...")
-        from .netlist import parse_value
-
         field = _PARAM_ALIASES.get(axis.lower(), axis)
         grid = [parse_value(v) for v in raw.split(",") if v]
         reports = crosscheck.sweep(args.case, params, field, grid, config)
@@ -287,16 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     p.add_argument("--port", nargs=2, metavar=("N+", "N-"), required=True)
     p.add_argument("--all-engines", action="store_true",
-                   help="also report the flow-graph value and, when the circuit "
-                        "matches a supported case pattern, the closed forms")
+                   help="also report the flow-graph value and, when the linearized "
+                        "netlist is a case-1 or case-2 circuit up to element and node "
+                        "names (no R_in) probed at its case port, the closed form and "
+                        "the exact formula")
     add_common(p)
     p.set_defaults(func=cmd_impedance)
 
     p = sub.add_parser("crosscheck", help="compare all engines on one output-series case")
     p.add_argument("--case", type=int, choices=(1, 2), required=True)
     p.add_argument("--paper-defaults", action="store_true",
-                   help="use the typical textbook parameter set and judge the "
-                        "closed form against its documented error level")
+                   help="use the typical textbook parameter set; without --set or "
+                        "--sweep, judge the closed form against its documented error level")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="override one parameter (repeatable)")
     p.add_argument("--sweep", metavar="AXIS=V1,V2,...",
@@ -328,7 +252,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UnclassifiableTopology, InvalidMacroParams, mna.SingularMatrix,
-            mna.UnknownSource, sfg.LimitExceeded, sfg.ZeroDeterminant,
+            mna.UnknownSource, mna.UnknownNode, sfg.LimitExceeded, sfg.ZeroDeterminant,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

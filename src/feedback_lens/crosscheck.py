@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from collections import Counter
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -80,6 +81,47 @@ def build_case2_circuit(p: AmplifierParams) -> LinearCircuit:
     return LinearCircuit.of(elements)
 
 
+def recognize_case(
+    lc: LinearCircuit, port: tuple[str, str]
+) -> tuple[int, AmplifierParams] | None:
+    """``(case, p)`` when ``build_case<case>_circuit(p)`` is ``lc`` up to
+    element and node names and ``port`` is that case's port, else None.
+    Values are read off the elements and the rebuild decides; a candidate
+    has no R_in, so a circuit with one is not recognized."""
+    def shape(circuit, rename=lambda node: node):
+        # kind, renamed terminals (resistor ends unordered) and value, no names
+        def key(x):
+            ends = tuple(map(rename, x.terminals))
+            return type(x), frozenset(ends) if isinstance(x, Resistor) else ends, astuple(x)[-1]
+        return Counter(map(key, circuit.elements))
+
+    vccs = [x for x in lc.elements if isinstance(x, Vccs)]
+    vcvs = [x for x in lc.elements if isinstance(x, Vcvs)]
+    if len(vccs) != 1 or len(vcvs) not in (1, 2):
+        return None
+    (gm,) = vccs
+    ohms = {frozenset(x.terminals): x.ohms for x in lc.elements if isinstance(x, Resistor)}
+    case, build, case_port, sense, rail = (
+        (1, build_case1_circuit, CASE1_PORT, "e", "e") if len(vcvs) == 1
+        else (2, build_case2_circuit, CASE2_PORT, "c", "h")
+    )
+    pairs = {"r_out": ("t", "b"), "r_pi": ("b", rail), "r_o": ("c", "e"), "R1": (sense, GROUND)}
+    for op in vcvs:
+        # builder node -> node of lc; case 2's rail h carries the base current
+        node = {GROUND: GROUND, "t": op.n1, "b": gm.cp, "e": gm.n2, "c": gm.n1}
+        node.update(("h", x.n1) for x in vcvs if x is not op)
+        values = {f: ohms.get(frozenset((node[m], node[n]))) for f, (m, n) in pairs.items()}
+        if None in values.values() or len(set(node.values())) < len(node):
+            continue
+        try:
+            p = AmplifierParams(K=op.gain, g_m=gm.gm, **values)
+        except ValueError:
+            continue
+        if port == tuple(map(node.get, case_port)) and shape(build(p), node.get) == shape(lc):
+            return case, p
+    return None
+
+
 def case1_equations(p: AmplifierParams):
     """Causal signal relations of the collector-output test: source v_x,
     response i_x; the transmission v_x -> i_x is 1/R_X."""
@@ -96,6 +138,8 @@ def case1_equations(p: AmplifierParams):
 def case2_equations(p: AmplifierParams):
     """Causal signal relations of the emitter-output test: source i_x,
     response v_x; the transmission i_x -> v_x is R_X."""
+    if p.K == 0:
+        raise ValueError("K must be nonzero for the case-2 flow graph, which divides by K")
     s = p.r_out + p.r_pi
     g = p.g_m
     return [
@@ -164,10 +208,14 @@ def _diagonal_assignment(a: np.ndarray) -> list[int]:
     return row_of_var
 
 
-def flow_graph_of_system(system: mna.MnaSystem, source: str = "src") -> sfg.FlowGraph:
+# Flow-graph node that carries the right-hand side of a rewritten system.
+SYSTEM_SOURCE = "src"
+
+
+def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
     """Rewrite A x = b * src as one causal equation per unknown and build the
     corresponding flow graph; the graph's gain src -> variable equals the
-    solved sensitivity d(variable)/d(src)."""
+    solved sensitivity d(variable)/d(src), with src the node ``SYSTEM_SOURCE``."""
     names = [None] * system.dimension
     for name, i in system.index.items():
         names[i] = name
@@ -178,7 +226,7 @@ def flow_graph_of_system(system: mna.MnaSystem, source: str = "src") -> sfg.Flow
         pivot = a[row, var]
         terms = []
         if b[row] != 0.0:
-            terms.append((float(b[row] / pivot), source))
+            terms.append((float(b[row] / pivot), SYSTEM_SOURCE))
         for j in range(system.dimension):
             if j != var and a[row, j] != 0.0:
                 terms.append((float(-a[row, j] / pivot), names[j]))
@@ -190,7 +238,7 @@ def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> f
     """Driving-point impedance computed by Mason's rule on the flow graph of
     the probed nodal system; independent second route to the LU solve."""
     graph = flow_graph_of_system(mna.probed_system(lc, port))
-    gain = sfg.mason_gain(graph, "src", f"I({mna.TEST_SOURCE})")
+    gain = sfg.mason_gain(graph, SYSTEM_SOURCE, f"I({mna.TEST_SOURCE})")
     return mna.impedance_from_current(-gain)
 
 

@@ -42,6 +42,10 @@ class UnknownSource(Exception):
     pass
 
 
+class UnknownNode(Exception):
+    pass
+
+
 # Residual target for ||Ax - b||_inf relative to ||b||_inf.
 RESIDUAL_RTOL = 1e-9
 
@@ -230,9 +234,17 @@ def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     return impedance_from_current(-solution.branch_currents[TEST_SOURCE])
 
 
+def require_nodes(lc: LinearCircuit, nodes) -> None:
+    """Raise ``UnknownNode`` for the first of ``nodes`` not in ``lc``."""
+    for node in nodes:
+        if node not in lc.nodes:
+            raise UnknownNode(f"unknown node {node!r}")
+
+
 def transfer(lc: LinearCircuit, source: str, observe: tuple[str, str]) -> float:
     """Voltage across ``observe`` per unit value of the named independent
     source, all other independent sources zeroed."""
+    require_nodes(lc, observe)
     target = next((e for e in lc.elements if e.name == source), None)
     if isinstance(target, VSource):
         unit = replace(target, volts=1.0)

@@ -160,3 +160,11 @@ def test_finite_input_resistance_is_supported():
     r_without = cc.mna_rx(1, TYPICAL)
     assert r_with != pytest.approx(r_without, rel=1e-6)
     assert r_with == pytest.approx(r_without, rel=0.05)  # large R_in: small shift
+
+
+def test_case2_flow_graph_rejects_zero_gain():
+    # AmplifierParams accepts K = 0, but the case-2 equations divide by K
+    with pytest.raises(ValueError, match="K must be nonzero"):
+        cc.mason_rx(2, replace(TYPICAL, K=0.0))
+    with pytest.raises(ValueError, match="K must be nonzero"):
+        cc.run_case(2, replace(TYPICAL, K=0.0))

@@ -227,3 +227,9 @@ def test_residual_is_tight():
             x[i] = solution.branch_currents[name[2:-1]]
     residual = np.max(np.abs(system.matrix @ x - system.rhs))
     assert residual <= mna.RESIDUAL_RTOL * np.max(np.abs(system.rhs))
+
+
+def test_transfer_unknown_observe_node():
+    lc = linearize(parse_netlist("V1 a 0 1\nR1 a 0 1k"))
+    with pytest.raises(mna.UnknownNode, match="unknown node 'zz'"):
+        mna.transfer(lc, "V1", ("zz", GROUND))
