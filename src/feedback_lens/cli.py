@@ -171,9 +171,9 @@ def cmd_crosscheck(args) -> int:
 
     fmt = _resolve_format(args)
     if fmt == "json":
+        # a sweep is a list even with one point; a plain run is one object
         payload = [crosscheck.report_to_dict(r) for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         sort_keys=True, indent=2))
+        print(json.dumps(payload if args.sweep else payload[0], sort_keys=True, indent=2))
     else:
         print("\n".join(crosscheck.report_table(r) for r in reports), end="")
     return 0 if all(r.passed for r in reports) else 2

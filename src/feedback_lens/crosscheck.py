@@ -187,23 +187,32 @@ def exact_rx(case: int, p: AmplifierParams) -> float:
 # Generic nodal-system -> flow-graph bridge (used by the CLI's --all-engines)
 # --------------------------------------------------------------------------
 
-def _diagonal_assignment(a: np.ndarray) -> list[int]:
-    """Row index assigned to each variable so every a[row, var] != 0
-    (perfect matching on the non-zero pattern)."""
-    n = a.shape[0]
-    row_of_var = [-1] * n
-
-    def assign(row: int, banned: set[int]) -> bool:
-        for var in range(n):
-            if a[row, var] != 0.0 and var not in banned:
-                banned.add(var)
-                if row_of_var[var] == -1 or assign(row_of_var[var], banned):
-                    row_of_var[var] = row
-                    return True
-        return False
-
-    for row in range(n):
-        if not assign(row, set()):
+def _diagonal_assignment(pattern: list[list[int]]) -> list[int]:
+    """Row index assigned to each variable so every variable's row has a
+    non-zero in its column: a perfect matching on the non-zero pattern
+    (``pattern[row]`` lists the row's non-zero columns), grown one row at a
+    time by an augmenting-path search (Kuhn's), kept iterative."""
+    row_of_var = [-1] * len(pattern)
+    for root in range(len(pattern)):
+        banned: set[int] = set()
+        # rows on the current alternating path, and the column taken at each
+        stack, via = [(root, iter(pattern[root]))], []
+        while stack:
+            row, columns = stack[-1]
+            var = next((v for v in columns if v not in banned), None)
+            if var is None:
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            banned.add(var)
+            via.append(var)
+            if row_of_var[var] == -1:
+                for (r, _), v in zip(stack, via):
+                    row_of_var[v] = r
+                break
+            stack.append((row_of_var[var], iter(pattern[row_of_var[var]])))
+        else:
             raise mna.SingularMatrix("system is structurally singular")
     return row_of_var
 
@@ -220,25 +229,23 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
     for name, i in system.index.items():
         names[i] = name
     a, b = system.matrix, system.rhs
-    row_of_var = _diagonal_assignment(a)
+    pattern = [np.flatnonzero(row).tolist() for row in a]
     equations = []
-    for var, row in enumerate(row_of_var):
+    for var, row in enumerate(_diagonal_assignment(pattern)):
         pivot = a[row, var]
-        terms = []
-        if b[row] != 0.0:
-            terms.append((float(b[row] / pivot), SYSTEM_SOURCE))
-        for j in range(system.dimension):
-            if j != var and a[row, j] != 0.0:
-                terms.append((float(-a[row, j] / pivot), names[j]))
+        terms = [(float(b[row] / pivot), SYSTEM_SOURCE)] if b[row] != 0.0 else []
+        others = [j for j in pattern[row] if j != var]
+        coefficients = (-a[row, others] / pivot).astype(float).tolist()
+        terms += [(c, names[j]) for c, j in zip(coefficients, others)]
         equations.append((names[var], terms))
     return sfg.from_linear_system(equations)
 
 
 def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
-    """Driving-point impedance computed by Mason's rule on the flow graph of
-    the probed nodal system; independent second route to the LU solve."""
+    """Driving-point impedance by node elimination on the flow graph of the
+    probed nodal system; independent second route to the LU solve."""
     graph = flow_graph_of_system(mna.probed_system(lc, port))
-    gain = sfg.mason_gain(graph, SYSTEM_SOURCE, f"I({mna.TEST_SOURCE})")
+    gain = sfg.elimination_gain(graph, SYSTEM_SOURCE, f"I({mna.TEST_SOURCE})")
     return mna.impedance_from_current(-gain)
 
 

@@ -253,5 +253,9 @@ def transfer(lc: LinearCircuit, source: str, observe: tuple[str, str]) -> float:
     else:
         raise UnknownSource(f"{source!r} is not an independent source")
     others = [e for e in zero_independent_sources(lc).elements if e.name != source]
-    solution = solve(assemble(LinearCircuit.of(others + [unit], lc.provenance)))
-    return solution.across(observe)
+    circuit = LinearCircuit.of(others + [unit], lc.provenance)
+    for node in observe:
+        if node not in circuit.nodes:
+            # only zeroed current sources touch it, so nothing sets its voltage
+            raise SingularMatrix(f"node {node!r} floats once the other sources are zeroed")
+    return solve(assemble(circuit)).across(observe)

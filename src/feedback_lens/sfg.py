@@ -1,19 +1,30 @@
 """Signal-flow-graph engine.
 
 Graphs hold one node per signal variable and one weighted directed edge per
-linear dependence.  The engine enumerates simple loops and simple forward
-paths in a deterministic order, computes the graph determinant over all
-mutually non-touching loop combinations ("non-touching" means node-disjoint),
-and evaluates the transmission gain
+linear dependence.  Two routes compute the transmission gain src -> dst.
+
+Enumeration (``mason_terms``, ``mason_gain``) lists simple loops and simple
+forward paths in a deterministic order, computes the graph determinant over
+all mutually non-touching loop combinations ("non-touching" means
+node-disjoint), and evaluates Mason's gain formula
 
     gain(src -> dst) = sum_k P_k * D_k / D
 
 where P_k are forward-path gains, D the determinant and D_k the determinant
-of the graph with the k-th path's nodes deleted.
+of the graph with the k-th path's nodes deleted.  It is exponential in
+general, so every walk is bounded by an explicit cap (default 10 000);
+exceeding it raises LimitExceeded rather than truncating silently.  The
+case-1 and case-2 graphs of ``crosscheck.mason_rx`` use it, and the tests
+use it as the oracle for the second route.
 
-Enumeration is exponential in general, so every walk is bounded by an
-explicit cap (default 10 000); exceeding it raises LimitExceeded rather than
-truncating silently.
+Node elimination (``elimination_gain``) applies the reduction rules of
+Mason, "Feedback theory -- further properties of signal flow graphs"
+(Proc. IRE 44(7), 1956): a self-loop L on a node is absorbed by dividing
+its in-edges by 1 - L, and the node is then removed by splicing every
+in-edge to every out-edge.  It costs O(n^3) at worst and has no cap, so
+``crosscheck.mason_driving_point_impedance`` (``impedance --all-engines``
+on general netlists) uses it.  It is plain dict arithmetic, independent of
+the nodal solver's LU.
 """
 
 from __future__ import annotations
@@ -99,9 +110,12 @@ class FlowGraph:
     def gain(self, u: str, v: str) -> float:
         return self._edges.get((u, v), 0.0)
 
-    def successors(self, u: str) -> tuple[tuple[str, float], ...]:
-        out = [(v, g) for (a, v), g in self._edges.items() if a == u]
-        return tuple(sorted(out))
+    def adjacency(self) -> dict[str, dict[str, float]]:
+        """Successors of every node with their edge gains, both in name order."""
+        out: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
+        for (u, v), gain in sorted(self._edges.items()):
+            out[u][v] = gain
+        return out
 
 
 def from_linear_system(
@@ -129,13 +143,12 @@ def from_linear_system(
 def enumerate_loops(graph: FlowGraph, cap: int = DEFAULT_CAP) -> list[Loop]:
     """All simple directed cycles, each reported once, rotated to start at
     its smallest node, ordered lexicographically."""
-    nodes = graph.nodes
-    order = {n: i for i, n in enumerate(nodes)}
-    adjacency = {n: graph.successors(n) for n in nodes}
+    adjacency = graph.adjacency()
+    order = {n: i for i, n in enumerate(adjacency)}
     loops: list[Loop] = []
 
     def walk(start: str, node: str, path: list[str], gain: float, visited: set[str]):
-        for nbr, edge_gain in adjacency[node]:
+        for nbr, edge_gain in adjacency[node].items():
             if nbr == start:
                 if len(loops) >= cap:
                     raise LimitExceeded(cap, "loops")
@@ -147,7 +160,7 @@ def enumerate_loops(graph: FlowGraph, cap: int = DEFAULT_CAP) -> list[Loop]:
                 path.pop()
                 visited.remove(nbr)
 
-    for start in nodes:
+    for start in adjacency:
         walk(start, start, [start], 1.0, {start})
     loops.sort(key=lambda l: l.nodes)
     return loops
@@ -159,12 +172,11 @@ def enumerate_forward_paths(
     """All simple paths src -> dst with gains, in lexicographic order."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    nodes = graph.nodes
-    adjacency = {n: graph.successors(n) for n in nodes}
+    adjacency = graph.adjacency()
     paths: list[Path] = []
 
     def walk(node: str, path: list[str], gain: float, visited: set[str]):
-        for nbr, edge_gain in adjacency.get(node, ()):
+        for nbr, edge_gain in adjacency[node].items():
             if nbr == dst:
                 if len(paths) >= cap:
                     raise LimitExceeded(cap, "forward paths")
@@ -224,6 +236,63 @@ def mason_gain(graph: FlowGraph, src: str, dst: str, cap: int = DEFAULT_CAP) -> 
     if terms.determinant == 0.0:
         raise ZeroDeterminant("graph determinant is zero")
     return terms.gain
+
+
+# 1 - L below this, relative to max(1, |L|), is a zero pivot.
+_PIVOT_RTOL = 1e-12
+
+
+def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
+    """Transmission src -> dst by node elimination; equals ``mason_gain``.
+
+    A fresh source feeds ``src`` and ``dst`` feeds a fresh sink, both by unit
+    edges; every other node is eliminated, and the gain is what is left on
+    the source -> sink edge.  The next node is the one with the fewest
+    in-edge x out-edge splices, ties going to the largest |1 - L| and then
+    to the name.  A node whose 1 - L is zero waits, since later splices
+    may change its self-loop; ZeroDeterminant is raised once every
+    remaining node has a zero 1 - L.
+    """
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    source, sink = object(), object()
+    succ: dict = graph.adjacency()
+    succ.setdefault(src, {})
+    succ.setdefault(dst, {})[sink] = 1.0
+    succ[source], succ[sink] = {src: 1.0}, {}
+    pred: dict = {n: {} for n in succ}
+    for u, outs in succ.items():
+        for v, gain in outs.items():
+            pred[v][u] = gain
+    remaining = set(succ) - {source, sink}
+
+    def rank(v):
+        """(splices, -|1 - L|, name), or None while 1 - L is zero."""
+        outs = succ[v]
+        loop = outs.get(v, 0.0)
+        if abs(1.0 - loop) <= _PIVOT_RTOL * max(1.0, abs(loop)):
+            return None
+        looped = v in outs
+        return (len(pred[v]) - looped) * (len(outs) - looped), -abs(1.0 - loop), v
+
+    while remaining:
+        ranks = [r for r in map(rank, remaining) if r]
+        if not ranks:
+            raise ZeroDeterminant("every remaining node has a zero 1 - L")
+        v = min(ranks)[2]
+        remaining.remove(v)
+        absorb = 1.0 / (1.0 - succ[v].pop(v, 0.0))
+        pred[v].pop(v, None)
+        ins, outs = pred.pop(v), succ.pop(v)
+        for w in outs:
+            del pred[w][v]
+        for u, into in ins.items():
+            del succ[u][v]
+            into *= absorb
+            for w, out in outs.items():
+                gain = succ[u].get(w, 0.0) + into * out
+                succ[u][w] = pred[w][u] = gain
+    return succ[source].get(sink, 0.0)
 
 
 def parse_edge_list(text: str) -> FlowGraph:

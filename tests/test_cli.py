@@ -1,9 +1,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from feedback_lens.cli import main
+
+from support import random_resistor_mesh
 
 IMPEDANCE = re.compile(r"([0-9.]+e[+-][0-9]+)")
 
@@ -165,6 +168,15 @@ def test_crosscheck_sweep(capsys):
     assert values == sorted(values)
 
 
+def test_crosscheck_one_point_sweep_is_a_list(capsys):
+    code, out, _ = run(capsys, "crosscheck", "--case", "1", "--sweep", "K=10",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload, list) and len(payload) == 1
+    assert payload[0]["parameters"]["K"] == 10.0
+
+
 def test_crosscheck_bad_parameter(capsys):
     code, _, err = run(capsys, "crosscheck", "--case", "1", "--set", "zz=1")
     assert code == 1 and "unknown parameter" in err
@@ -214,3 +226,14 @@ def test_impedance_all_engines_on_renamed_fixture(capsys, netlists_dir, tmp_path
     assert code == 0
     engines = [line.split()[0] for line in out.splitlines()]
     assert engines == ["mna", "mason", "closed_form", "exact_formula"]
+
+
+def test_impedance_all_engines_on_a_40_node_mesh(capsys, tmp_path):
+    mesh = random_resistor_mesh(np.random.default_rng(40), n_nodes=40)
+    net = tmp_path / "mesh40.net"
+    net.write_text("".join(f"{e.name} {e.n1} {e.n2} {e.ohms!r}\n" for e in mesh.elements))
+    code, out, _ = run(capsys, "impedance", str(net), "--port", "n1", "0",
+                       "--all-engines", "--format", "json")
+    assert code == 0
+    values = json.loads(out)
+    assert values["mason"] == pytest.approx(values["mna"], rel=1e-6)

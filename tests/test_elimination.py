@@ -1,0 +1,95 @@
+"""sfg.elimination_gain, the node-elimination route, against enumeration
+(mason_gain), a direct solve and the nodal solver."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from feedback_lens import crosscheck as cc, mna, sfg
+from feedback_lens.netlist import GROUND
+
+from support import random_causal_system, random_resistor_mesh
+
+NODES = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def graphs(draw):
+    """A graph on up to six nodes, self-loops allowed, small enough for
+    enumeration, with two distinct endpoints that may have in- and
+    out-edges of their own."""
+    nodes = NODES[: draw(st.integers(2, len(NODES)))]
+    node = st.sampled_from(nodes)
+    gain = st.floats(0.05, 0.95).flatmap(lambda x: st.sampled_from((x, -x)))
+    edges = draw(st.lists(st.tuples(node, node, gain), min_size=1, max_size=12))
+    src, dst = draw(st.permutations(nodes))[:2]
+    return sfg.FlowGraph(edges), src, dst
+
+
+def agree(a: float, b: float, rtol: float) -> bool:
+    return abs(a - b) <= rtol * max(abs(a), abs(b), 1e-12)
+
+
+@given(graphs())
+def test_elimination_matches_enumeration(case):
+    graph, src, dst = case
+    terms = sfg.mason_terms(graph, src, dst)
+    # a determinant near zero leaves both routes at the mercy of cancellation
+    assume(abs(terms.determinant) >= 1e-2)
+    assert agree(sfg.elimination_gain(graph, src, dst), terms.gain, 1e-9)
+
+
+def test_elimination_matches_direct_solve_on_random_systems():
+    rng = np.random.default_rng(4004)
+    for _ in range(200):
+        equations, variables, x = random_causal_system(rng)
+        graph = sfg.from_linear_system(equations)
+        for variable, expected in zip(variables, x):
+            assert agree(sfg.elimination_gain(graph, "src", variable), expected, 1e-9)
+
+
+def test_zero_pivot_waits_for_later_splices():
+    # x's own loop is 1 (1 - L = 0) until eliminating y adds 0.5 to it
+    g = sfg.FlowGraph([("s", "x", 1.0), ("x", "x", 1.0), ("x", "y", 1.0),
+                       ("y", "x", 0.5), ("x", "d", 1.0)])
+    assert sfg.elimination_gain(g, "s", "d") == pytest.approx(-2.0, rel=1e-15)
+    assert sfg.mason_gain(g, "s", "d") == pytest.approx(-2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("loop", [1.0, 1.0 + 1e-14])
+def test_all_zero_pivots_raise(loop):
+    # both x and z keep 1 - L = 0 (relative to L) however the others go
+    g = sfg.FlowGraph([("s", "x", 2.0), ("x", "x", loop), ("x", "d", 1.0),
+                       ("z", "z", 1.0), ("d", "z", 1.0)])
+    with pytest.raises(sfg.ZeroDeterminant):
+        sfg.elimination_gain(g, "s", "d")
+
+
+def test_elimination_edge_cases():
+    g = sfg.FlowGraph([("a", "b", 2.5), ("c", "d", 1.0)])
+    assert sfg.elimination_gain(g, "a", "b") == 2.5
+    assert sfg.elimination_gain(g, "a", "d") == 0.0
+    assert sfg.elimination_gain(g, "a", "absent") == 0.0
+    with pytest.raises(ValueError):
+        sfg.elimination_gain(g, "a", "a")
+
+
+@pytest.mark.parametrize("n_nodes", [40, 80])
+def test_flow_graph_impedance_on_large_meshes(n_nodes):
+    # enumeration raised LimitExceeded on meshes this size
+    rng = np.random.default_rng(n_nodes)
+    for _ in range(3):
+        mesh = random_resistor_mesh(rng, n_nodes=n_nodes)
+        direct = mna.driving_point_impedance(mesh, ("n1", GROUND))
+        assert cc.mason_driving_point_impedance(mesh, ("n1", GROUND)) == pytest.approx(
+            direct, rel=1e-6
+        )
+
+
+def test_structurally_singular_system_is_rejected():
+    # rows 0 and 1 both have their only non-zero in column 0
+    a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 3.0]])
+    system = mna.MnaSystem(a, np.array([1.0, 0.0, 0.0]), {"V(a)": 0, "V(b)": 1, "V(c)": 2},
+                           ("a", "b", "c"), ())
+    with pytest.raises(mna.SingularMatrix, match="structurally singular"):
+        cc.flow_graph_of_system(system)

@@ -233,3 +233,10 @@ def test_transfer_unknown_observe_node():
     lc = linearize(parse_netlist("V1 a 0 1\nR1 a 0 1k"))
     with pytest.raises(mna.UnknownNode, match="unknown node 'zz'"):
         mna.transfer(lc, "V1", ("zz", GROUND))
+
+
+def test_transfer_to_a_node_only_a_zeroed_source_touches():
+    # q is in the circuit, but once I1 is opened nothing sets its voltage
+    lc = linearize(parse_netlist("V1 a 0 1\nR1 a 0 1k\nI1 q 0 1"))
+    with pytest.raises(mna.SingularMatrix, match="node 'q' floats"):
+        mna.transfer(lc, "V1", ("q", GROUND))
