@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import crosscheck, mna, sfg
 from .feedback import (
@@ -29,18 +30,8 @@ from .smallsignal import InvalidMacroParams, linearize
 
 FORMAT_ENV = "FEEDBACK_LENS_FORMAT"
 
-_PARAM_ALIASES = {
-    "k": "K",
-    "rout": "r_out",
-    "r1": "R1",
-    "r2": "R2",
-    "gm": "g_m",
-    "rpi": "r_pi",
-    "ro": "r_o",
-    "re": "R_E",
-    "rs": "R_S",
-    "rin": "R_in",
-}
+# --set/--sweep name: a field of AmplifierParams, or it lowercased without "_"
+_PARAM_ALIASES = {f.name.lower().replace("_", ""): f.name for f in fields(AmplifierParams)}
 
 
 def _resolve_format(args) -> str:
@@ -139,7 +130,7 @@ def cmd_impedance(args) -> int:
 
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     overrides = {}
-    valid = {f for f in AmplifierParams.__dataclass_fields__}
+    valid = {f.name for f in fields(AmplifierParams)}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--set expects name=value, got {pair!r}")

@@ -128,8 +128,8 @@ def case1_equations(p: AmplifierParams):
     s = p.r_out + p.r_pi
     return [
         ("i_o", [(p.g_m + 1.0 / p.r_pi, "v_pi"), (1.0 / p.r_o, "v_x"), (-1.0 / p.r_o, "v_c")]),
-        ("v_c", [(p.R1, "i_o")]),
-        ("v_diff", [(-p.R1, "i_o")]),
+        ("v_c", [(p.R_sense, "i_o")]),
+        ("v_diff", [(-p.R_sense, "i_o")]),
         ("v_pi", [(p.K * p.r_pi / s, "v_diff"), (-p.r_pi / s, "v_c")]),
         ("i_x", [(1.0 / p.r_o, "v_x"), (-1.0 / p.r_o, "v_c"), (p.g_m, "v_pi")]),
     ]
@@ -142,12 +142,13 @@ def case2_equations(p: AmplifierParams):
         raise ValueError("K must be nonzero for the case-2 flow graph, which divides by K")
     s = p.r_out + p.r_pi
     g = p.g_m
+    r1 = p.R_sense
     return [
         ("v_pi", [(-1.0 / g, "i_x"), (-1.0 / (g * p.r_o), "v_c"), (1.0 / (g * p.r_o), "v_x")]),
-        ("v_c", [(p.R1, "i_o")]),
+        ("v_c", [(r1, "i_o")]),
         ("v_x", [(p.r_o, "i_o"), (g * p.r_o, "v_pi"), (1.0, "v_c")]),
         ("v_diff", [(s / (p.K * p.r_pi), "v_pi"), (1.0 / p.K, "v_x")]),
-        ("i_o", [(1.0 / p.R1, "v_diff")]),
+        ("i_o", [(1.0 / r1, "v_diff")]),
     ]
 
 

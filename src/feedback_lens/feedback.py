@@ -112,6 +112,12 @@ class AmplifierParams:
     def beta(self) -> float:
         return self.g_m * self.r_pi
 
+    @property
+    def R_sense(self) -> float:
+        """R1 in parallel with R_in: in both case circuits the op-amp input
+        sits across R1, between the sense node and ground."""
+        return output_resistance(self.R1, self.R_in)
+
     @classmethod
     def typical(cls, **overrides) -> "AmplifierParams":
         """Typical textbook operating point: beta=100, K=1000,
@@ -135,38 +141,22 @@ class FeedbackAnalysis:
 # Topology classification
 # --------------------------------------------------------------------------
 
-def _comparison_terminals(e) -> tuple[str, ...]:
-    """Terminals where a signal can enter a difference-forming input."""
-    if isinstance(e, OpAmp):
-        return (e.plus, e.minus)
-    if isinstance(e, BjtPi):
-        return (e.base, e.emitter)
-    if isinstance(e, (Vcvs, Vccs)):
-        return (e.cp, e.cn)
-    return ()
+# (comparison, drive, conduction) terminals of each device kind:
+# - comparison: where a signal can enter a difference-forming input;
+# - drive: terminals that only deliver output (collector/drain-like), so
+#   feedback returned into one of these forms no input difference;
+# - conduction: the path that carries the element's output current.
+# Passive elements and independent sources have none.
+_ROLES = {
+    OpAmp: lambda e: ((e.plus, e.minus), (e.out,), (e.out,)),
+    BjtPi: lambda e: ((e.base, e.emitter), (e.collector,), (e.collector, e.emitter)),
+    Vcvs: lambda e: ((e.cp, e.cn), (e.n1, e.n2), (e.n1, e.n2)),
+    Vccs: lambda e: ((e.cp, e.cn), (e.n1, e.n2), (e.n1, e.n2)),
+}
 
 
-def _drive_terminals(e) -> tuple[str, ...]:
-    """Terminals that only deliver output (collector/drain-like); feeding
-    the feedback signal back into one of these forms no input difference."""
-    if isinstance(e, OpAmp):
-        return (e.out,)
-    if isinstance(e, BjtPi):
-        return (e.collector,)
-    if isinstance(e, (Vcvs, Vccs)):
-        return (e.n1, e.n2)
-    return ()
-
-
-def _conduction_terminals(e) -> tuple[str, ...]:
-    """Terminals of the path that carries the element's output current."""
-    if isinstance(e, BjtPi):
-        return (e.collector, e.emitter)
-    if isinstance(e, OpAmp):
-        return (e.out,)
-    if isinstance(e, (Vcvs, Vccs)):
-        return (e.n1, e.n2)
-    return ()
+def _roles(e) -> tuple[tuple[str, ...], ...]:
+    return _ROLES[type(e)](e) if type(e) in _ROLES else ((), (), ())
 
 
 @dataclass(frozen=True)
@@ -207,7 +197,7 @@ def _classify(circuit: Circuit) -> _Classification:
     else:
         hits: set[str] = set()
         for e in forward:
-            conduction = _conduction_terminals(e)
+            conduction = _roles(e)[2]
             if o_plus in conduction:
                 hits.update((set(conduction) & fb_nodes) - {o_plus, GROUND})
         if hits:
@@ -230,10 +220,10 @@ def _classify(circuit: Circuit) -> _Classification:
         comparison: set[str] = set()
         drive: set[str] = set()
         for e in forward:
-            terms = _comparison_terminals(e)
+            terms, drives, _ = _roles(e)
             if i_plus in terms:
                 comparison.update(terms)
-                drive.update(_drive_terminals(e))
+                drive.update(drives)
         if not comparison:
             raise UnclassifiableTopology(
                 "no difference-forming device found at the input port"
@@ -407,7 +397,8 @@ def simplification_holds_case1(p: AmplifierParams, ratio: float = DOMINANCE_RATI
 def exact_rx_case1(p: AmplifierParams) -> float:
     """Exact case-1 R_X (matches the nodal solution of the case-1 model)."""
     u = (p.K + 1.0) / (p.r_out + p.r_pi)
-    return (p.r_o * (1.0 + p.R1 * (p.beta + 1.0) * u) + p.R1) / (1.0 + p.R1 * u)
+    r1 = p.R_sense
+    return (p.r_o * (1.0 + r1 * (p.beta + 1.0) * u) + r1) / (1.0 + r1 * u)
 
 
 def closed_form_rx_case2(p: AmplifierParams) -> float:
@@ -418,7 +409,8 @@ def closed_form_rx_case2(p: AmplifierParams) -> float:
 def exact_rx_case2(p: AmplifierParams) -> float:
     """Exact case-2 R_X (matches the nodal solution of the case-2 model)."""
     s = p.r_out + p.r_pi
-    return (p.r_o * p.R1 * p.K * p.beta + p.r_o * s + p.R1 * s) / (p.r_o * p.beta + s)
+    r1 = p.R_sense
+    return (p.r_o * r1 * p.K * p.beta + p.r_o * s + r1 * s) / (p.r_o * p.beta + s)
 
 
 def output_resistance(R_X: float, R2: float) -> float:

@@ -25,6 +25,8 @@ ignored, ``.end`` optional):
     .output n+ n-                           amplifier output port
     .feedback <elem> [<elem> ...]           elements forming the feedback network
 
+Each element kind is one row of ``GRAMMAR``; the parser, ``serialize``,
+``validate`` and each class's ``terminals`` (its node fields) come from it.
 Node names are arbitrary identifiers; ``0`` is ground.  Values accept the
 case-sensitive engineering suffixes k (1e3), M (1e6), m (1e-3), u (1e-6)
 and are stored in SI base units as doubles.
@@ -33,7 +35,8 @@ and are stored in SI base units as doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 
 class NetlistError(Exception):
@@ -91,10 +94,6 @@ class Resistor:
     n2: str
     ohms: float
 
-    @property
-    def terminals(self) -> tuple[str, ...]:
-        return (self.n1, self.n2)
-
 
 @dataclass(frozen=True)
 class VSource:
@@ -102,10 +101,6 @@ class VSource:
     n1: str
     n2: str
     volts: float
-
-    @property
-    def terminals(self) -> tuple[str, ...]:
-        return (self.n1, self.n2)
 
 
 @dataclass(frozen=True)
@@ -117,10 +112,6 @@ class ISource:
     n2: str
     amps: float
 
-    @property
-    def terminals(self) -> tuple[str, ...]:
-        return (self.n1, self.n2)
-
 
 @dataclass(frozen=True)
 class Vcvs:
@@ -130,10 +121,6 @@ class Vcvs:
     cp: str
     cn: str
     gain: float
-
-    @property
-    def terminals(self) -> tuple[str, ...]:
-        return (self.n1, self.n2, self.cp, self.cn)
 
 
 @dataclass(frozen=True)
@@ -146,10 +133,6 @@ class Vccs:
     cp: str
     cn: str
     gm: float
-
-    @property
-    def terminals(self) -> tuple[str, ...]:
-        return (self.n1, self.n2, self.cp, self.cn)
 
 
 @dataclass(frozen=True)
@@ -168,10 +151,6 @@ class BjtPi:
     def beta(self) -> float:
         return self.gm * self.rpi
 
-    @property
-    def terminals(self) -> tuple[str, ...]:
-        return (self.base, self.collector, self.emitter)
-
 
 @dataclass(frozen=True)
 class OpAmp:
@@ -189,15 +168,63 @@ class OpAmp:
     rout: float
     rin: float | None = None
 
-    @property
-    def terminals(self) -> tuple[str, ...]:
-        return (self.plus, self.minus, self.out)
-
 
 Element = Resistor | VSource | ISource | Vcvs | Vccs | BjtPi | OpAmp
 
-MACRO_KINDS = (BjtPi, OpAmp)
-PRIMITIVE_KINDS = (Resistor, VSource, ISource, Vcvs, Vccs)
+
+@dataclass(frozen=True)
+class Value:
+    """One value of an element statement, filling the class field ``field``.
+
+    It is a bare token, or ``key=value`` when ``key`` is set; a row has one
+    bare value, the statement's last token, or only keyed ones.  ``validate``
+    reports it under ``label`` (the key when unset; neither set: unchecked),
+    requiring it to be > 0 when ``positive`` and finite otherwise.  An
+    ``optional`` value may be absent, leaving the field None.
+    """
+
+    field: str
+    label: str | None = None
+    key: str | None = None
+    positive: bool = True
+    optional: bool = False
+
+
+class Kind:
+    """One grammar row: the element class, the message for a wrong token
+    count, the number of node fields (the class fields after ``name``) and
+    the values that follow the nodes.  Everything the parser, serializer
+    and validator read is worked out here once, and the class's
+    ``terminals`` becomes its node fields."""
+
+    def __init__(self, cls: type, arity: str, width: int, *values: Value):
+        self.cls, self.arity, self.width = cls, arity, width
+        needed = sum(not v.optional for v in values)
+        self.lengths = range(1 + width + needed, 2 + width + len(values))  # name included
+        self.field_of_key = {v.key: v.field for v in values if v.key}
+        self.required = {v.key for v in values if v.key and not v.optional}
+        self.words = [(v.field, f"{v.key}=" if v.key else "") for v in values]
+        labels = [(v, v.label or v.key) for v in values]
+        self.checked = [(v.field, label, v.positive) for v, label in labels if label]
+        cls.terminals = property(attrgetter(*[f.name for f in fields(cls)][1:1 + width]))
+
+
+# The SPICE element-card format: a letter, the nodes, then the values.
+GRAMMAR = {
+    "R": Kind(Resistor, "resistor needs 2 nodes and a value", 2, Value("ohms", "resistance")),
+    "V": Kind(VSource, "voltage source needs 2 nodes and a value", 2, Value("volts")),
+    "I": Kind(ISource, "current source needs 2 nodes and a value", 2, Value("amps")),
+    "E": Kind(Vcvs, "controlled voltage source needs 4 nodes and a gain", 4,
+              Value("gain", "gain", positive=False)),
+    "G": Kind(Vccs, "controlled current source needs 4 nodes and a transconductance", 4,
+              Value("gm", "transconductance")),
+    "Q": Kind(BjtPi, "bipolar device needs base collector emitter gm= rpi= ro=", 3,
+              Value("gm", key="gm"), Value("rpi", key="rpi"), Value("ro", key="ro")),
+    "X": Kind(OpAmp, "op-amp needs plus minus out K= rout= [rin=]", 3,
+              Value("gain", key="K"), Value("rout", key="rout"),
+              Value("rin", key="rin", optional=True)),
+}
+_KIND_OF = {kind.cls: kind for kind in GRAMMAR.values()}
 
 
 @dataclass(frozen=True)
@@ -248,74 +275,28 @@ class ValidationReport:
         return {v.code for v in self.violations}
 
 
-def _split_params(tokens: list[str], line: int) -> dict[str, float]:
-    params = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise NetlistSyntaxError(f"expected key=value, got {tok!r}", line)
-        key, _, raw = tok.partition("=")
-        params[key] = parse_value(raw, line)
-    return params
-
-
 def _parse_element(tokens: list[str], line: int) -> Element:
     name = tokens[0]
-    kind = name[0]
-    args = tokens[1:]
-    if kind == "R":
-        if len(args) != 3:
-            raise NetlistSyntaxError("resistor needs 2 nodes and a value", line)
-        return Resistor(name, args[0], args[1], parse_value(args[2], line))
-    if kind == "V":
-        if len(args) != 3:
-            raise NetlistSyntaxError("voltage source needs 2 nodes and a value", line)
-        return VSource(name, args[0], args[1], parse_value(args[2], line))
-    if kind == "I":
-        if len(args) != 3:
-            raise NetlistSyntaxError("current source needs 2 nodes and a value", line)
-        return ISource(name, args[0], args[1], parse_value(args[2], line))
-    if kind == "E":
-        if len(args) != 5:
-            raise NetlistSyntaxError(
-                "controlled voltage source needs 4 nodes and a gain", line
-            )
-        return Vcvs(name, args[0], args[1], args[2], args[3], parse_value(args[4], line))
-    if kind == "G":
-        if len(args) != 5:
-            raise NetlistSyntaxError(
-                "controlled current source needs 4 nodes and a transconductance", line
-            )
-        return Vccs(name, args[0], args[1], args[2], args[3], parse_value(args[4], line))
-    if kind == "Q":
-        if len(args) != 6:
-            raise NetlistSyntaxError(
-                "bipolar device needs base collector emitter gm= rpi= ro=", line
-            )
-        params = _split_params(args[3:], line)
-        missing = {"gm", "rpi", "ro"} - params.keys()
-        if missing:
-            raise NetlistSyntaxError(f"missing parameters {sorted(missing)}", line)
-        extra = params.keys() - {"gm", "rpi", "ro"}
-        if extra:
-            raise NetlistSyntaxError(f"unknown parameters {sorted(extra)}", line)
-        return BjtPi(name, args[0], args[1], args[2], params["gm"], params["rpi"], params["ro"])
-    if kind == "X":
-        if len(args) not in (5, 6):
-            raise NetlistSyntaxError(
-                "op-amp needs plus minus out K= rout= [rin=]", line
-            )
-        params = _split_params(args[3:], line)
-        missing = {"K", "rout"} - params.keys()
-        if missing:
-            raise NetlistSyntaxError(f"missing parameters {sorted(missing)}", line)
-        extra = params.keys() - {"K", "rout", "rin"}
-        if extra:
-            raise NetlistSyntaxError(f"unknown parameters {sorted(extra)}", line)
-        return OpAmp(
-            name, args[0], args[1], args[2],
-            params["K"], params["rout"], params.get("rin"),
-        )
-    raise UnknownElementKind(f"unknown element kind {name!r}", line)
+    try:
+        kind = GRAMMAR[name[0]]
+    except KeyError:
+        raise UnknownElementKind(f"unknown element kind {name!r}", line) from None
+    if len(tokens) not in kind.lengths:
+        raise NetlistSyntaxError(kind.arity, line)
+    if not kind.field_of_key:
+        return kind.cls(*tokens[:-1], parse_value(tokens[-1], line))
+    params = {}
+    for tok in tokens[kind.width + 1:]:
+        key, eq, raw = tok.partition("=")
+        if not eq:
+            raise NetlistSyntaxError(f"expected key=value, got {tok!r}", line)
+        params[key] = parse_value(raw, line)
+    if missing := kind.required - params.keys():
+        raise NetlistSyntaxError(f"missing parameters {sorted(missing)}", line)
+    if extra := params.keys() - kind.field_of_key.keys():
+        raise NetlistSyntaxError(f"unknown parameters {sorted(extra)}", line)
+    values = {kind.field_of_key[key]: value for key, value in params.items()}
+    return kind.cls(*tokens[:kind.width + 1], **values)
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -384,31 +365,12 @@ def serialize(circuit: Circuit) -> str:
     if circuit.title:
         lines.append(f".title {circuit.title}")
     for e in circuit.elements:
-        if isinstance(e, Resistor):
-            lines.append(f"{e.name} {e.n1} {e.n2} {format_value(e.ohms)}")
-        elif isinstance(e, VSource):
-            lines.append(f"{e.name} {e.n1} {e.n2} {format_value(e.volts)}")
-        elif isinstance(e, ISource):
-            lines.append(f"{e.name} {e.n1} {e.n2} {format_value(e.amps)}")
-        elif isinstance(e, Vcvs):
-            lines.append(
-                f"{e.name} {e.n1} {e.n2} {e.cp} {e.cn} {format_value(e.gain)}"
-            )
-        elif isinstance(e, Vccs):
-            lines.append(f"{e.name} {e.n1} {e.n2} {e.cp} {e.cn} {format_value(e.gm)}")
-        elif isinstance(e, BjtPi):
-            lines.append(
-                f"{e.name} {e.base} {e.collector} {e.emitter} "
-                f"gm={format_value(e.gm)} rpi={format_value(e.rpi)} ro={format_value(e.ro)}"
-            )
-        elif isinstance(e, OpAmp):
-            line = (
-                f"{e.name} {e.plus} {e.minus} {e.out} "
-                f"K={format_value(e.gain)} rout={format_value(e.rout)}"
-            )
-            if e.rin is not None:
-                line += f" rin={format_value(e.rin)}"
-            lines.append(line)
+        words = [e.name, *e.terminals]
+        for field, prefix in _KIND_OF[type(e)].words:
+            value = getattr(e, field)
+            if value is not None:
+                words.append(prefix + format_value(value))
+        lines.append(" ".join(words))
     ann = circuit.annotations
     if ann.input_port:
         lines.append(f".input {ann.input_port[0]} {ann.input_port[1]}")
@@ -421,8 +383,10 @@ def serialize(circuit: Circuit) -> str:
 
 def _positive_value_violations(e: Element) -> list[Violation]:
     out = []
-
-    def check(label: str, value: float, positive: bool):
+    for field, label, positive in _KIND_OF[type(e)].checked:
+        value = getattr(e, field)
+        if value is None:
+            continue
         if positive and not value > 0:
             out.append(
                 Violation("nonpositive-value", e.name, f"{e.name}: {label} must be > 0")
@@ -431,22 +395,6 @@ def _positive_value_violations(e: Element) -> list[Violation]:
             out.append(
                 Violation("nonfinite-value", e.name, f"{e.name}: {label} must be finite")
             )
-
-    if isinstance(e, Resistor):
-        check("resistance", e.ohms, True)
-    elif isinstance(e, Vccs):
-        check("transconductance", e.gm, True)
-    elif isinstance(e, Vcvs):
-        check("gain", e.gain, False)
-    elif isinstance(e, BjtPi):
-        check("gm", e.gm, True)
-        check("rpi", e.rpi, True)
-        check("ro", e.ro, True)
-    elif isinstance(e, OpAmp):
-        check("K", e.gain, True)
-        check("rout", e.rout, True)
-        if e.rin is not None:
-            check("rin", e.rin, True)
     return out
 
 

@@ -56,12 +56,6 @@ class LinearCircuit:
         """This circuit plus ``extra``, with the node set derived again."""
         return LinearCircuit.of(self.elements + extra, self.provenance)
 
-    def element(self, name: str) -> Primitive:
-        for e in self.elements:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def _require_positive(name: str, **values: float):
     for label, value in values.items():

@@ -9,6 +9,7 @@ check.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from feedback_lens.feedback import AmplifierParams
 from feedback_lens.netlist import GROUND, Resistor
@@ -79,6 +80,20 @@ def draw_params(rng: np.random.Generator, **fixed) -> AmplifierParams:
     )
     values.update(fixed)
     return AmplifierParams(**values)
+
+
+def decades(low, high):
+    return st.floats(low, high).map(lambda x: 10.0 ** x)
+
+
+# Hypothesis form of draw_params: the same ranges.
+amplifier_params = st.builds(
+    lambda K, r_out, R1, r_o, g_m, beta: AmplifierParams(
+        K=K, r_out=r_out, R1=R1, g_m=g_m, r_pi=beta / g_m, r_o=r_o
+    ),
+    decades(1, 5), decades(1, 7), decades(1, 7), decades(1, 7), decades(-4, 0),
+    st.floats(20, 500),
+)
 
 
 def random_causal_system(rng: np.random.Generator, max_vars: int = 8):

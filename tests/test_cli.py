@@ -177,6 +177,18 @@ def test_crosscheck_one_point_sweep_is_a_list(capsys):
     assert payload[0]["parameters"]["K"] == 10.0
 
 
+@pytest.mark.parametrize("case", ["1", "2"])
+def test_crosscheck_finite_input_resistance_passes(capsys, case):
+    code, out, _ = run(
+        capsys, "crosscheck", "--case", case, "--set", "rin=1k", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["parameters"]["R_in"] == 1000.0
+    for pair in ("exact_formula vs mason", "exact_formula vs mna", "mason vs mna"):
+        assert payload["relative_errors"][pair] <= 1e-6
+
+
 def test_crosscheck_bad_parameter(capsys):
     code, _, err = run(capsys, "crosscheck", "--case", "1", "--set", "zz=1")
     assert code == 1 and "unknown parameter" in err

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from feedback_lens import crosscheck as cc, mna
 from feedback_lens.feedback import AmplifierParams, exact_rx_case2
 from feedback_lens.netlist import GROUND, parse_netlist_file
 from feedback_lens.smallsignal import linearize
 
-from support import draw_params, random_resistor_mesh
+from support import amplifier_params, decades, draw_params, random_resistor_mesh
 
 TYPICAL = AmplifierParams.typical()
 
@@ -160,6 +161,15 @@ def test_finite_input_resistance_is_supported():
     r_without = cc.mna_rx(1, TYPICAL)
     assert r_with != pytest.approx(r_without, rel=1e-6)
     assert r_with == pytest.approx(r_without, rel=0.05)  # large R_in: small shift
+
+
+@given(st.sampled_from((1, 2)), amplifier_params, decades(1, 7))
+def test_exact_engines_agree_with_finite_input_resistance(case, p, r_in):
+    # R_in sits across R1 in both case circuits; every exact engine models it
+    p = replace(p, R_in=r_in)
+    values = [cc.exact_rx(case, p), cc.mason_rx(case, p), cc.mna_rx(case, p)]
+    for value in values[1:]:
+        assert cc.relative_error(value, values[0]) <= 1e-6, (case, p)
 
 
 def test_case2_flow_graph_rejects_zero_gain():

@@ -1,12 +1,26 @@
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
+from hypothesis import given, strategies as st
 
 from feedback_lens.netlist import (
+    GRAMMAR,
+    GROUND,
     BjtPi,
+    Circuit,
     DuplicateName,
+    ISource,
+    NetlistError,
     NetlistSyntaxError,
     OpAmp,
+    PortAnnotations,
     Resistor,
     UnknownElementKind,
+    Vccs,
+    Vcvs,
+    VSource,
     parse_netlist,
     parse_value,
     serialize,
@@ -79,12 +93,16 @@ def test_unknown_directive():
 
 
 def test_macro_parameter_errors():
-    with pytest.raises(NetlistSyntaxError):
+    with pytest.raises(NetlistSyntaxError, match="^bipolar device needs base collector"):
         parse_netlist("Q1 b c e gm=40m rpi=2.5k")  # arity
-    with pytest.raises(NetlistSyntaxError):
-        parse_netlist("Q1 b c e gm=40m rpi=2.5k raux=1")  # unknown key
-    with pytest.raises(NetlistSyntaxError):
+    with pytest.raises(NetlistSyntaxError, match=r"^missing parameters \['ro'\]$"):
+        parse_netlist("Q1 b c e gm=40m rpi=2.5k raux=1")  # unknown key in ro's place
+    with pytest.raises(NetlistSyntaxError, match=r"^unknown parameters \['rfoo'\]$"):
         parse_netlist("X1 p m o K=10 rfoo=1 rout=1k")
+    with pytest.raises(NetlistSyntaxError, match=r"^missing parameters \['rout'\]$"):
+        parse_netlist("X1 p m o K=10 rin=1M")
+    with pytest.raises(NetlistSyntaxError, match="^expected key=value, got '100k'$"):
+        parse_netlist("Q1 b c e gm=40m rpi=2.5k 100k")
 
 
 @pytest.mark.parametrize(
@@ -143,6 +161,27 @@ def test_validate_flags_nonpositive_resistance():
     assert "nonpositive-value" in report.codes()
 
 
+def test_validate_value_checks_of_every_kind():
+    # V and I values are not checked
+    circuit = parse_netlist(
+        "R1 a 0 0\nV1 a 0 -1\nI1 a 0 -1\nE1 a 0 a 0 -2\nE2 a 0 a 0 1\n"
+        "G1 a 0 a 0 -1m\nQ1 a a 0 gm=0 rpi=-1 ro=1\nX1 a 0 a K=0 rout=1 rin=-1\n"
+    )
+    infinite = {"E2": {"gain": math.inf}, "Q1": {"ro": math.inf}}
+    elements = tuple(replace(e, **infinite.get(e.name, {})) for e in circuit.elements)
+    violations = validate(replace(circuit, elements=elements)).violations
+    assert [(v.code, v.message) for v in violations] == [
+        ("nonpositive-value", "R1: resistance must be > 0"),
+        ("nonfinite-value", "E2: gain must be finite"),
+        ("nonpositive-value", "G1: transconductance must be > 0"),
+        ("nonpositive-value", "Q1: gm must be > 0"),
+        ("nonpositive-value", "Q1: rpi must be > 0"),
+        ("nonfinite-value", "Q1: ro must be finite"),
+        ("nonpositive-value", "X1: K must be > 0"),
+        ("nonpositive-value", "X1: rin must be > 0"),
+    ]
+
+
 def test_validate_flags_bad_annotations():
     report = validate(parse_netlist("R1 a 0 1k\n.input a 0\n.output a 0\n.feedback RX"))
     assert "ports-equal" in report.codes()
@@ -166,3 +205,139 @@ def test_opamp_optional_rin():
     assert parse_netlist(serialize(circuit)) == circuit
     bare = parse_netlist("X1 p m o K=1000 rout=500k").element("X1")
     assert bare.rin is None
+
+
+# --------------------------------------------------------------------------
+# Grammar guards: canonical text, round trip over every kind, fuzzing
+# --------------------------------------------------------------------------
+
+ALL_KINDS_TEXT = """\
+.title every kind
+R1 a 0 1k
+V1 a 0 1
+I1 0 b 2m
+E1 c 0 a b 10
+G1 b 0 a 0 40m
+Q1 b c e gm=40m rpi=2.5k ro=100k
+X1 a e d K=1000 rout=500k
+X2 a e f K=1e5 rout=10 rin=1M
+.input a 0
+.output c 0
+.feedback R1 G1
+"""
+
+ALL_KINDS_CANONICAL = """\
+.title every kind
+R1 a 0 1000.0
+V1 a 0 1.0
+I1 0 b 0.002
+E1 c 0 a b 10.0
+G1 b 0 a 0 0.04
+Q1 b c e gm=0.04 rpi=2500.0 ro=100000.0
+X1 a e d K=1000.0 rout=500000.0
+X2 a e f K=100000.0 rout=10.0 rin=1000000.0
+.input a 0
+.output c 0
+.feedback G1 R1
+"""
+
+
+def test_readme_documents_every_element_kind():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Netlist format", 1)[1].split("```")[1]
+    documented = {line[0] for line in block.splitlines() if line[1:7] == "<name>"}
+    assert documented == set(GRAMMAR)
+
+
+def test_serialize_golden_covers_every_kind():
+    circuit = parse_netlist(ALL_KINDS_TEXT)
+    assert {type(e) for e in circuit.elements} == {
+        Resistor, VSource, ISource, Vcvs, Vccs, BjtPi, OpAmp
+    }
+    assert serialize(circuit) == ALL_KINDS_CANONICAL
+    assert parse_netlist(ALL_KINDS_CANONICAL) == circuit
+
+
+values = st.floats(allow_nan=False, allow_infinity=False)
+node_names = st.sampled_from((GROUND, "a", "b", "n_1", "out", "x9"))
+
+
+def _kind(cls, width, *fields):
+    """Strategy for an unnamed ``cls`` element: ``width`` nodes, then one
+    draw from each strategy in ``fields``."""
+    nodes = st.lists(node_names, min_size=width, max_size=width)
+    return st.builds(lambda ns, vs: cls("", *ns, *vs), nodes, st.tuples(*fields))
+
+
+KIND_STRATEGIES = {
+    "R": _kind(Resistor, 2, values),
+    "V": _kind(VSource, 2, values),
+    "I": _kind(ISource, 2, values),
+    "E": _kind(Vcvs, 4, values),
+    "G": _kind(Vccs, 4, values),
+    "Q": _kind(BjtPi, 3, values, values, values),
+    "X": _kind(OpAmp, 3, values, values, st.none() | values),
+}
+
+
+@st.composite
+def circuits(draw):
+    letters = draw(st.lists(st.sampled_from(sorted(KIND_STRATEGIES)), min_size=1, max_size=9))
+    elements = [
+        replace(draw(KIND_STRATEGIES[letter]), name=f"{letter}{i}")
+        for i, letter in enumerate(letters)
+    ]
+    nodes = {GROUND}
+    for e in elements:
+        nodes.update(e.terminals)
+    port = st.none() | st.tuples(node_names, node_names)
+    feedback = draw(st.frozensets(st.sampled_from([e.name for e in elements])))
+    title = draw(st.from_regex(r"([A-Za-z0-9,.()-]+( [A-Za-z0-9,.()-]+)*)?", fullmatch=True))
+    annotations = PortAnnotations(draw(port), draw(port), feedback)
+    return Circuit(title, frozenset(nodes), tuple(elements), annotations)
+
+
+@given(circuits())
+def test_parse_serialize_round_trip_over_every_kind(circuit):
+    text = serialize(circuit)
+    assert parse_netlist(text) == circuit
+    assert serialize(parse_netlist(text)) == text
+
+
+FUZZ_SEEDS = (FIG4_TEXT, ALL_KINDS_TEXT, "R1 a 0 1k\n.end\nR1 x\n")
+FUZZ_ALPHABET = " \n*.=0123456789eEkMmu+-RVIEGQXabcKrinoutgmp"
+
+
+@st.composite
+def mutated_netlists(draw):
+    text = draw(st.sampled_from(FUZZ_SEEDS))
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace", "drop_token", "dup_line")))
+        if op == "insert":
+            text = text[:at] + draw(st.text(FUZZ_ALPHABET, min_size=1, max_size=3)) + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        elif op == "replace":
+            text = text[:at] + draw(st.sampled_from(FUZZ_ALPHABET)) + text[at + 1:]
+        else:
+            lines = text.split("\n")
+            row = at % len(lines)
+            if op == "dup_line":
+                lines.insert(row, lines[row])
+            elif lines[row].split():
+                tokens = lines[row].split()
+                del tokens[draw(st.integers(0, len(tokens) - 1))]
+                lines[row] = " ".join(tokens)
+            text = "\n".join(lines)
+    return text
+
+
+@given(mutated_netlists())
+def test_mutated_text_raises_only_netlist_errors(text):
+    try:
+        circuit = parse_netlist(text)
+    except NetlistError:
+        return
+    validate(circuit)
+    serialize(circuit)

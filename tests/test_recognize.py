@@ -12,21 +12,9 @@ from feedback_lens.feedback import AmplifierParams
 from feedback_lens.netlist import GROUND, Resistor, Vccs, Vcvs, parse_netlist_file
 from feedback_lens.smallsignal import LinearCircuit, linearize
 
+from support import amplifier_params as params, decades
+
 BUILDERS = {1: (cc.build_case1_circuit, cc.CASE1_PORT), 2: (cc.build_case2_circuit, cc.CASE2_PORT)}
-
-
-def decades(low, high):
-    return st.floats(low, high).map(lambda x: 10.0 ** x)
-
-
-# The test suite's parameter ranges (support.draw_params).
-params = st.builds(
-    lambda K, r_out, R1, r_o, g_m, beta: AmplifierParams(
-        K=K, r_out=r_out, R1=R1, g_m=g_m, r_pi=beta / g_m, r_o=r_o
-    ),
-    decades(1, 5), decades(1, 7), decades(1, 7), decades(1, 7), decades(-4, 0),
-    st.floats(20, 500),
-)
 
 
 @st.composite
