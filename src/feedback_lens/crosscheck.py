@@ -22,8 +22,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
-
-import numpy as np
+from decimal import localcontext
 
 from . import mna, sfg
 from .feedback import (
@@ -229,25 +228,25 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
     names = [None] * system.dimension
     for name, i in system.index.items():
         names[i] = name
-    a, b = system.matrix, system.rhs
-    pattern = [np.flatnonzero(row).tolist() for row in a]
+    rows, b = system.rows, system.rhs
     equations = []
-    for var, row in enumerate(_diagonal_assignment(pattern)):
-        pivot = a[row, var]
-        terms = [(float(b[row] / pivot), SYSTEM_SOURCE)] if b[row] != 0.0 else []
-        others = [j for j in pattern[row] if j != var]
-        coefficients = (-a[row, others] / pivot).astype(float).tolist()
-        terms += [(c, names[j]) for c, j in zip(coefficients, others)]
-        equations.append((names[var], terms))
+    with localcontext(mna.DECIMAL):
+        for var, i in enumerate(_diagonal_assignment([sorted(row) for row in rows])):
+            pivot = rows[i][var]
+            terms = [(float(b[i] / pivot), SYSTEM_SOURCE)] if b[i] else []
+            terms += [(float(-v / pivot), names[j])
+                      for j, v in sorted(rows[i].items()) if j != var]
+            equations.append((names[var], terms))
     return sfg.from_linear_system(equations)
 
 
 def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
-    probed nodal system; independent second route to the LU solve."""
-    graph = flow_graph_of_system(mna.probed_system(lc, port))
-    gain = sfg.elimination_gain(graph, SYSTEM_SOURCE, f"I({mna.TEST_SOURCE})")
-    return mna.impedance_from_current(-gain)
+    probed nodal system; independent second route to the nodal solve."""
+    system = mna.probed_system(lc, port)
+    gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE,
+                                f"I({mna.TEST_SOURCE})")
+    return mna.impedance_from_current(-gain, system, mna.OPEN_PORT_RTOL_DOUBLE)
 
 
 # --------------------------------------------------------------------------

@@ -75,12 +75,12 @@ def parse_value(token: str, line: int = 0) -> float:
         scale = _SUFFIXES[text[-1]]
         text = text[:-1]
     try:
-        value = float(text)
+        value = float(text) * scale
     except ValueError:
         raise NetlistSyntaxError(f"bad numeric value {token!r}", line) from None
     if not math.isfinite(value):
         raise NetlistSyntaxError(f"non-finite value {token!r}", line)
-    return value * scale
+    return value
 
 
 def format_value(value: float) -> str:

@@ -24,7 +24,7 @@ its in-edges by 1 - L, and the node is then removed by splicing every
 in-edge to every out-edge.  It costs O(n^3) at worst and has no cap, so
 ``crosscheck.mason_driving_point_impedance`` (``impedance --all-engines``
 on general netlists) uses it.  It is plain dict arithmetic, independent of
-the nodal solver's LU.
+the nodal solver's elimination.
 """
 
 from __future__ import annotations

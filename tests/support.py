@@ -1,9 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
-The impedance oracle here deliberately avoids the package's stamping and LU
-code: it builds a plain node-conductance matrix for resistor-only networks
-and inverts it with numpy, giving a second route for every driving-point
-check.
+The impedance oracle here deliberately avoids the package's stamping and
+elimination code: it builds a plain node-conductance matrix for
+resistor-only networks and inverts it with numpy, giving a second route for
+every driving-point check.
 """
 
 from __future__ import annotations

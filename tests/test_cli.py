@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import feedback_lens
 from feedback_lens.cli import main
 
 from support import random_resistor_mesh
@@ -116,6 +121,38 @@ def test_impedance_singular_input(capsys, tmp_path):
     code, _, err = run(capsys, "impedance", str(net), "--port", "a", "0")
     assert code == 1
     assert err
+
+
+def test_loading_reports_an_open_port_as_infinite(capsys, netlists_dir, tmp_path):
+    code, out, _ = run(capsys, "loading", str(netlists_dir / "irrelevant.net"))
+    assert code == 0
+    assert "R_of  inf Ω" in out
+    # RF split in two leaves the output side just as open; its rounding
+    # residue must not read as a huge (or negative) R_of
+    split = tmp_path / "split.net"
+    split.write_text((netlists_dir / "irrelevant.net").read_text()
+                     .replace("RF c2 c1 22k", "RFA c2 m 10k\nRFB m c1 12k")
+                     .replace(".feedback RF", ".feedback RFA RFB"))
+    assert run(capsys, "validate", str(split))[0] == 0
+    code, out, _ = run(capsys, "loading", str(split))
+    assert code == 0
+    assert "R_of  inf Ω" in out
+
+
+def test_runs_without_numpy(netlists_dir):
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from feedback_lens.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(feedback_lens.__file__).parents[1])}
+    for argv in (["crosscheck", "--case", "1", "--paper-defaults"],
+                 ["impedance", str(netlists_dir / "fig7.net"), "--port", "c", "0",
+                  "--all-engines"]):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def test_loading_subcommand(capsys, netlists_dir):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from feedback_lens import crosscheck as cc, mna
-from feedback_lens.feedback import AmplifierParams, exact_rx_case2
+from feedback_lens.feedback import AmplifierParams, exact_rx_case1, exact_rx_case2
 from feedback_lens.netlist import GROUND, parse_netlist_file
 from feedback_lens.smallsignal import linearize
 
@@ -41,16 +42,47 @@ def test_engines_reject_unknown_case(engine, case):
         engine(case, TYPICAL)
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= 1e-16,
-    reason="the nodal solver's accuracy relies on 80-bit extended precision",
-)
 def test_mna_rx_exact_on_badly_scaled_port():
     # Conductances span 1.7e-7 to 0.94 S; a LAPACK solve refined in extended
     # precision lands 6.4e-9 from the exact value here.
     values = dict(K=69e3, r_out=30e3, R1=5.8e6, g_m=0.94, r_pi=290.0, r_o=1.6e6)
     exact = exact_rx_case2(AmplifierParams(**{k: Fraction(v) for k, v in values.items()}))
     assert cc.mna_rx(2, AmplifierParams(**values)) == pytest.approx(float(exact), rel=1e-9)
+
+
+def _exact_rx(case, p):
+    """R_X of the exact formula evaluated in rational arithmetic."""
+    names = ("K", "r_out", "R1", "g_m", "r_pi", "r_o")
+    exact = AmplifierParams(**{f: Fraction(getattr(p, f)) for f in names})
+    return float(exact_rx_case1(exact) if case == 1 else exact_rx_case2(exact))
+
+
+@given(st.sampled_from((1, 2)), amplifier_params)
+def test_mna_rx_matches_exact_rational_evaluation(case, p):
+    assert cc.mna_rx(case, p) == pytest.approx(_exact_rx(case, p), rel=1e-12)
+
+
+# Each parameter at either end of the draw_params ranges.
+CORNERS = [
+    AmplifierParams(K=K, r_out=r_out, R1=R1, g_m=g_m, r_pi=beta / g_m, r_o=r_o)
+    for K, r_out, R1, r_o, g_m, beta in itertools.product(
+        (10.0, 1e5), (10.0, 1e7), (10.0, 1e7), (10.0, 1e7), (1e-4, 1.0), (20.0, 500.0)
+    )
+]
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_rx_at_the_parameter_corners_is_finite(case):
+    # |Z G| reaches 1e12 at the case-2 corner K = 1e5, R1 = 1e7, g_m = 1,
+    # the real port nearest the open-port rule.  The double-precision flow
+    # graph of the nodal system loses up to 2.1e-4 at the case-2 corners.
+    circuit, port = {1: (cc.build_case1_circuit, cc.CASE1_PORT),
+                     2: (cc.build_case2_circuit, cc.CASE2_PORT)}[case]
+    for p in CORNERS:
+        exact = _exact_rx(case, p)
+        assert cc.mna_rx(case, p) == pytest.approx(exact, rel=1e-12), p
+        assert cc.mason_driving_point_impedance(circuit(p), port) == pytest.approx(
+            exact, rel=1e-3), p
 
 
 def test_case2_error_shrinks_with_small_driver_resistance():

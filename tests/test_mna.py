@@ -1,11 +1,15 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from feedback_lens import mna
-from feedback_lens.netlist import GROUND, ISource, Resistor, Vcvs, VSource, parse_netlist
-from feedback_lens.smallsignal import LinearCircuit, linearize
+from feedback_lens import crosscheck as cc, mna
+from feedback_lens.feedback import feedback_ports, loading_of_circuit
+from feedback_lens.netlist import (
+    GROUND, ISource, Resistor, Vccs, Vcvs, VSource, parse_netlist,
+)
+from feedback_lens.smallsignal import LinearCircuit, linearize, restrict
 
 from support import conductance_impedance_oracle, random_resistor_mesh
 
@@ -69,6 +73,34 @@ def test_floating_subcircuit_raises():
         mna.solve(mna.assemble(lc))
 
 
+def _system(rows, rhs):
+    rows = tuple({j: Decimal(v) for j, v in row.items()} for row in rows)
+    return mna.MnaSystem(rows, tuple(map(Decimal, rhs)), {"V(a)": 0, "V(b)": 1},
+                         ("a", "b"), ())
+
+
+def test_pivot_is_judged_relative_to_its_row():
+    # after elimination the second row keeps 1e-7 of entries of size 1e6:
+    # a scaled pivot of 1e-13, numerically singular
+    near = _system([{0: 1e6, 1: 1e6}, {0: 1e6, 1: 1e6 + 1e-7}], [1.0, 1.0])
+    with pytest.raises(mna.SingularMatrix, match="pivot vanished"):
+        mna.solve(near)
+    # a row of tiny entries is well scaled: 1 A into 1e15 ohm
+    tiny = _system([{0: 1e-15}, {0: -1e-15, 1: 2e-15}], [1.0, 0.0])
+    voltages = mna.solve(tiny).node_voltages
+    assert voltages["a"] == pytest.approx(1e15, rel=1e-12)
+    assert voltages["b"] == pytest.approx(5e14, rel=1e-12)
+
+
+def test_assembled_rows_hold_only_non_zero_entries():
+    # the VCCS cancels R1's off-diagonal entry in row a exactly
+    lc = LinearCircuit.of([Resistor("R1", "a", "b", 1024.0), Resistor("R2", "b", GROUND, 1e3),
+                           Vccs("G1", "a", GROUND, "b", GROUND, 1 / 1024)])
+    system = mna.assemble(lc)
+    assert set(system.rows[system.index["V(a)"]]) == {system.index["V(a)"]}
+    assert all(all(row.values()) for row in system.rows)
+
+
 def test_series_resistors_driving_point():
     lc = linearize(parse_netlist("R1 p m 1k\nR2 m 0 2k"))
     assert mna.driving_point_impedance(lc, ("p", GROUND)) == pytest.approx(3e3, rel=1e-12)
@@ -85,6 +117,60 @@ def test_driving_point_zeroes_sources():
 def test_open_port_reports_infinity():
     lc = LinearCircuit.of([Resistor("R1", "a", GROUND, 1e3)])
     assert mna.driving_point_impedance(lc, ("floating", GROUND)) == math.inf
+
+
+# irrelevant.net with RF split in two: the feedback network's output side
+# is an open port, and the solve's rounding residue there must not read as a
+# huge (or negative) finite impedance.
+SPLIT_FEEDBACK = """\
+Q1 b1 c1 0 gm=40m rpi=2.5k ro=100k
+Q2 c1 c2 e2 gm=40m rpi=2.5k ro=100k
+RC1 c1 0 4.7k
+RC2 c2 0 4.7k
+RE2 e2 0 1k
+RFA c2 m 10k
+RFB m c1 12k
+.input b1 0
+.output c2 0
+.feedback RFA RFB
+"""
+
+ROUTES = [mna.driving_point_impedance, cc.mason_driving_point_impedance]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_port_behind_a_floating_resistor_chain_is_open(route):
+    lc = LinearCircuit.of([Resistor("R1", "a", "b", 4.7e3), Resistor("R2", "c", "b", 2.2e4)])
+    assert route(lc, ("a", GROUND)) == math.inf
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_open_output_side_of_a_split_feedback_network(route):
+    circuit = parse_netlist(SPLIT_FEEDBACK)
+    _, output_side = feedback_ports(circuit)
+    network = restrict(linearize(circuit), circuit.annotations.feedback_elements)
+    assert route(network, output_side) == math.inf
+    assert loading_of_circuit(circuit).R_of == math.inf
+
+
+def test_stamps_cancel_exactly_on_open_feedback_ports(netlists_dir):
+    # Every decimal operation runs at 34 digits; one left at the default 28
+    # digits leaves a residue of about 1e-32 A on these ports.
+    for text in ((netlists_dir / "irrelevant.net").read_text(), SPLIT_FEEDBACK):
+        circuit = parse_netlist(text)
+        _, output_side = feedback_ports(circuit)
+        network = restrict(linearize(circuit), circuit.annotations.feedback_elements)
+        solution = mna.solve(mna.probed_system(network, output_side))
+        assert solution.branch_currents[mna.TEST_SOURCE] == 0.0
+
+
+def test_open_port_rule_is_relative_to_the_conductance_scale():
+    # the same open chain scaled by 1e-6 and by 1e6 in conductance
+    for ohms in (4.7e9, 4.7e-3):
+        lc = LinearCircuit.of([Resistor("R1", "a", "b", ohms), Resistor("R2", "c", "b", ohms)])
+        assert mna.driving_point_impedance(lc, ("a", GROUND)) == math.inf
+    lc = LinearCircuit.of([Resistor("R1", "a", GROUND, 1e12)])
+    assert mna.driving_point_impedance(lc, ("a", GROUND)) == pytest.approx(1e12, rel=1e-12)
 
 
 def test_case1_model_impedance(netlists_dir):
@@ -225,8 +311,13 @@ def test_residual_is_tight():
             x[i] = solution.node_voltages[name[2:-1]]
         else:
             x[i] = solution.branch_currents[name[2:-1]]
-    residual = np.max(np.abs(system.matrix @ x - system.rhs))
-    assert residual <= mna.RESIDUAL_RTOL * np.max(np.abs(system.rhs))
+    matrix = np.zeros((system.dimension, system.dimension))
+    for i, row in enumerate(system.rows):
+        for j, entry in row.items():
+            matrix[i, j] = entry
+    rhs = np.array(system.rhs, dtype=float)
+    residual = np.max(np.abs(matrix @ x - rhs))
+    assert residual <= 1e-9 * np.max(np.abs(rhs))
 
 
 def test_transfer_unknown_observe_node():

@@ -126,6 +126,14 @@ def test_bad_value_token():
         parse_value("12xk", line=7)
 
 
+@pytest.mark.parametrize("token", ["1e308k", "-1e308M", "inf", "nanm"])
+def test_value_that_overflows_with_its_suffix_is_rejected(token):
+    with pytest.raises(NetlistSyntaxError, match="non-finite value"):
+        parse_value(token)
+    with pytest.raises(NetlistSyntaxError, match="non-finite value"):
+        parse_netlist(f"V1 a 0 {token}")
+
+
 def test_parse_serialize_parse_is_identity():
     first = parse_netlist(FIG4_TEXT)
     text = serialize(first)
