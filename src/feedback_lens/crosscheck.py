@@ -246,7 +246,7 @@ def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> f
     system = mna.probed_system(lc, port)
     gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE,
                                 f"I({mna.TEST_SOURCE})")
-    return mna.impedance_from_current(-gain, system, mna.OPEN_PORT_RTOL_DOUBLE)
+    return mna.impedance_from_current(-gain, lc, port)
 
 
 # --------------------------------------------------------------------------

@@ -190,39 +190,40 @@ def probed_system(lc: LinearCircuit, port: tuple[str, str]) -> MnaSystem:
     return assemble(zero_independent_sources(lc).with_elements(test))
 
 
-# Port current, relative to the conductance scale, within which a port reads
-# as open: for the decimal solve, and for a route in double precision.
-OPEN_PORT_RTOL = 1e-20
-OPEN_PORT_RTOL_DOUBLE = 1e-14
+def port_is_open(lc: LinearCircuit, port: tuple[str, str]) -> bool:
+    """True when no current path joins the two port nodes once independent
+    sources are zeroed: they lie in different connected components of the
+    graph whose edges are resistors, VCCS outputs and voltage sources."""
+    adjacent: dict[str, set[str]] = {}
+    for e in lc.elements:
+        if isinstance(e, (Resistor, Vccs, VSource, Vcvs)):
+            adjacent.setdefault(e.n1, set()).add(e.n2)
+            adjacent.setdefault(e.n2, set()).add(e.n1)
+    reached, frontier = {port[0]}, [port[0]]
+    while frontier:
+        for node in adjacent.get(frontier.pop(), set()) - reached:
+            reached.add(node)
+            frontier.append(node)
+    return port[1] not in reached
 
 
-def impedance_from_current(delivered: float, system: MnaSystem,
-                           rtol: float = OPEN_PORT_RTOL) -> float:
-    """Port impedance from the current a unit test voltage delivers into the
-    probed ``system``.  An open port draws only rounding residue: a current
-    within ``rtol`` of the largest conductance G in the KCL rows reads
-    ``math.inf``.
-
-    Margins, on open ports into, across and out of floating meshes (some
-    driving the gain stages of the case circuits): the decimal solve left at
-    most 3.5e-26 G.  The double-precision flow-graph route left at most
-    4.5e-16 G on open resistor chains, but over 1e-13 G on 1% of floating
-    meshes, which it reads as large finite impedances.  Real ports drew at
-    least 1.0e-12 G: the largest |Z G| over the test ranges is 1.0e12, at the
-    case-2 corner K = 1e5, R1 = 1e7, g_m = 1.
-    """
-    n = len(system.nodes)
-    g = max((abs(float(v)) for r in system.rows[:n] for j, v in r.items() if j < n),
-            default=0.0)
-    if abs(delivered) <= rtol * g:
+def impedance_from_current(delivered: float, lc: LinearCircuit,
+                           port: tuple[str, str]) -> float:
+    """Impedance of ``port`` of ``lc`` from the current a unit test voltage
+    delivers into it.  A port that ``port_is_open``, or that draws exactly no
+    current, reads ``math.inf``.  Openness is decided from the circuit's
+    structure because an open port's solved current is rounding residue,
+    which no threshold tells apart from the current of a real port of high
+    impedance beside a large conductance."""
+    if delivered == 0.0 or port_is_open(lc, port):
         return math.inf
     return 1.0 / delivered
 
 
 def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     """Impedance seen into ``port`` with all independent sources zeroed."""
-    system = probed_system(lc, port)
-    return impedance_from_current(-solve(system).branch_currents[TEST_SOURCE], system)
+    delivered = -solve(probed_system(lc, port)).branch_currents[TEST_SOURCE]
+    return impedance_from_current(delivered, lc, port)
 
 
 def require_nodes(lc: LinearCircuit, nodes) -> None:

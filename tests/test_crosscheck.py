@@ -73,9 +73,8 @@ CORNERS = [
 
 @pytest.mark.parametrize("case", [1, 2])
 def test_rx_at_the_parameter_corners_is_finite(case):
-    # |Z G| reaches 1e12 at the case-2 corner K = 1e5, R1 = 1e7, g_m = 1,
-    # the real port nearest the open-port rule.  The double-precision flow
-    # graph of the nodal system loses up to 2.1e-4 at the case-2 corners.
+    # The double-precision flow graph of the nodal system loses up to
+    # 2.1e-4 at the case-2 corners.
     circuit, port = {1: (cc.build_case1_circuit, cc.CASE1_PORT),
                      2: (cc.build_case2_circuit, cc.CASE2_PORT)}[case]
     for p in CORNERS:

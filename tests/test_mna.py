@@ -139,8 +139,9 @@ ROUTES = [mna.driving_point_impedance, cc.mason_driving_point_impedance]
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_port_behind_a_floating_resistor_chain_is_open(route):
-    lc = LinearCircuit.of([Resistor("R1", "a", "b", 4.7e3), Resistor("R2", "c", "b", 2.2e4)])
+@pytest.mark.parametrize("r1, r2", [(4.7e3, 2.2e4), (4.7e-3, 4.7e-3), (4.7e9, 4.7e9)])
+def test_port_behind_a_floating_resistor_chain_is_open(route, r1, r2):
+    lc = LinearCircuit.of([Resistor("R1", "a", "b", r1), Resistor("R2", "c", "b", r2)])
     assert route(lc, ("a", GROUND)) == math.inf
 
 
@@ -164,13 +165,42 @@ def test_stamps_cancel_exactly_on_open_feedback_ports(netlists_dir):
         assert solution.branch_currents[mna.TEST_SOURCE] == 0.0
 
 
-def test_open_port_rule_is_relative_to_the_conductance_scale():
-    # the same open chain scaled by 1e-6 and by 1e6 in conductance
-    for ohms in (4.7e9, 4.7e-3):
-        lc = LinearCircuit.of([Resistor("R1", "a", "b", ohms), Resistor("R2", "c", "b", ohms)])
-        assert mna.driving_point_impedance(lc, ("a", GROUND)) == math.inf
-    lc = LinearCircuit.of([Resistor("R1", "a", GROUND, 1e12)])
-    assert mna.driving_point_impedance(lc, ("a", GROUND)) == pytest.approx(1e12, rel=1e-12)
+# A high-impedance port beside a large conductance elsewhere, |Z G| = 1e15
+# and 1e21: its small current is real, not rounding residue.
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("ohms, other", [(1e12, 1e-3), (1e15, 1e-6)])
+def test_high_impedance_port_beside_a_large_conductance_is_finite(route, ohms, other):
+    lc = LinearCircuit.of([Resistor("R1", "a", GROUND, ohms),
+                           Resistor("R2", "b", GROUND, other)])
+    assert route(lc, ("a", GROUND)) == pytest.approx(ohms, rel=1e-12)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_port_on_an_idle_transconductance_draws_no_current(route):
+    # G1's output joins a to ground, but its control voltage stays zero
+    lc = LinearCircuit.of([Vccs("G1", "a", GROUND, "c", GROUND, 1e-3),
+                           Resistor("R1", "c", GROUND, 1e3)])
+    assert not mna.port_is_open(lc, ("a", GROUND))
+    assert route(lc, ("a", GROUND)) == math.inf
+
+
+def test_port_is_open_follows_current_paths():
+    elements = [
+        Resistor("R1", "a", "b", 1e3),
+        Vccs("G1", "b", "c", "a", GROUND, 1e-3),
+        Vcvs("E1", "c", "d", "a", GROUND, 2.0),
+        VSource("V1", "d", "e", 1.0),
+        ISource("I1", "e", GROUND, 1.0),
+    ]
+    lc = LinearCircuit.of(elements)
+    # R1, G1's output, E1's output and V1 join a to e; I1 is zeroed to an open
+    assert not mna.port_is_open(lc, ("a", "e"))
+    assert not mna.port_is_open(lc, ("e", "a"))
+    assert mna.port_is_open(lc, ("a", GROUND))
+    assert mna.port_is_open(lc, ("a", "absent"))
+    assert mna.port_is_open(lc, ("absent", "a"))
+    grounded = lc.with_elements(Resistor("R2", "e", GROUND, 1.0))
+    assert not mna.port_is_open(grounded, ("a", GROUND))
 
 
 def test_case1_model_impedance(netlists_dir):
