@@ -242,7 +242,9 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
 
 def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
-    probed nodal system; independent second route to the nodal solve."""
+    probed nodal system; independent second route to the nodal solve.  A
+    port node ``lc`` lacks raises ``mna.UnknownNode``."""
+    mna.require_nodes(lc, port)
     system = mna.probed_system(lc, port)
     gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE,
                                 f"I({mna.TEST_SOURCE})")

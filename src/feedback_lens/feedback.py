@@ -25,7 +25,6 @@ from .netlist import (
     GROUND,
     BjtPi,
     Circuit,
-    ISource,
     OpAmp,
     Resistor,
     Vccs,
@@ -183,9 +182,8 @@ def _classify(circuit: Circuit) -> _Classification:
     i_plus, i_minus = ann.input_port
     o_plus, o_minus = ann.output_port
 
-    fb_nodes: set[str] = set()
-    for name in ann.feedback_elements:
-        fb_nodes.update(circuit.element(name).terminals)
+    fb_nodes = {t for e in circuit.elements if e.name in ann.feedback_elements
+                for t in e.terminals}
     forward = [e for e in circuit.elements if e.name not in ann.feedback_elements]
 
     # Output side: voltage sensed at the output node itself, or current
@@ -278,36 +276,40 @@ def loading_effect(
     The opposite port is shorted when its mixing is shunt and left open when
     series; f is measured by exciting the sensed output quantity with a unit
     source and reading the quantity delivered to the input side.
+
+    Two probes give all three numbers.  R_if is the driving-point impedance
+    of the input side.  The probe of the output side, a unit test voltage
+    across it, is also the circuit that defines f: for shunt sensing its
+    test voltage is the unit excitation itself, and for series sensing the
+    response to a unit current is, by linearity, the response to the test
+    voltage over the current that voltage delivers.  A unit current into an
+    open output port has no solution, so series sensing there raises
+    ``SingularMatrix``.  A port node the network lacks raises
+    ``mna.UnknownNode``.
     """
     for e in fb.elements:
         if not isinstance(e, Resistor):
             raise ValueError("feedback network must be purely resistive")
 
-    def dpi(port, shorted):
-        probe = fb
-        if shorted is not None:
-            probe = fb.with_elements(VSource("__short", shorted[0], shorted[1], 0.0))
-        return mna.driving_point_impedance(probe, port)
+    def shorted(port):
+        return fb.with_elements(VSource("__short", port[0], port[1], 0.0))
 
-    r_if = dpi(input_port, output_port if topo.output_sense is Mixing.SHUNT else None)
-    r_of = dpi(output_port, input_port if topo.input_mix is Mixing.SHUNT else None)
+    input_probe = shorted(output_port) if topo.output_sense is Mixing.SHUNT else fb
+    output_probe = shorted(input_port) if topo.input_mix is Mixing.SHUNT else fb
+    r_if = mna.driving_point_impedance(input_probe, input_port)
 
-    # Excitation of the sensed quantity: unit current into the output-side
-    # high node for series sensing, unit voltage across the port for shunt.
-    if topo.output_sense is Mixing.SERIES:
-        excitation = ISource("__excite", output_port[1], output_port[0], 1.0)
-    else:
-        excitation = VSource("__excite", output_port[0], output_port[1], 1.0)
-
+    mna.require_nodes(output_probe, output_port)
+    solution = mna.solve(mna.probed_system(output_probe, output_port))
+    delivered = -solution.branch_currents[mna.TEST_SOURCE]
+    r_of = mna.impedance_from_current(delivered, output_probe, output_port)
     if topo.input_mix is Mixing.SHUNT:
-        short = VSource("__mix_short", input_port[0], input_port[1], 0.0)
-        probe = fb.with_elements(excitation, short)
-        solution = mna.solve_circuit(probe)
-        f = -solution.branch_currents["__mix_short"]
+        f = -solution.branch_currents["__short"]
     else:
-        probe = fb.with_elements(excitation)
-        solution = mna.solve_circuit(probe)
         f = solution.across(input_port)
+    if topo.output_sense is Mixing.SERIES:
+        if math.isinf(r_of):
+            raise mna.SingularMatrix("no current path for a unit current into the output port")
+        f /= delivered
 
     return LoadingModel(R_if=r_if, R_of=r_of, f=f)
 

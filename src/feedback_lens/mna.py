@@ -122,39 +122,49 @@ def assemble(lc: LinearCircuit) -> MnaSystem:
     return MnaSystem(rows, tuple(b[:dim]), index, nodes, branches)
 
 
+def _eliminate(system: MnaSystem):
+    """Forward elimination in column order with scaled partial pivoting (a
+    row's scale is its largest original entry).  Returns the reduced rows,
+    the reduced right-hand side and, for each column k, ``(row, pivot)``:
+    the pivot row chosen for column k, which afterwards holds only columns
+    after k, and the pivot entry taken out of it.  A zero row, or a best
+    scaled pivot below ``_PIVOT_RTOL``, raises ``SingularMatrix``.  Call it
+    inside ``localcontext(DECIMAL)``."""
+    rows = [dict(r) for r in system.rows]
+    b = list(system.rhs)
+    scale = [max(map(abs, r.values()), default=_ZERO) for r in rows]
+    if not all(scale):
+        raise SingularMatrix("zero row in system matrix")
+    active, pivots = list(range(system.dimension)), []
+    for k in range(system.dimension):
+        best, ratio = None, _ZERO
+        for i in active:
+            entry = rows[i].get(k)
+            if entry and abs(entry) / scale[i] > ratio:
+                best, ratio = i, abs(entry) / scale[i]
+        if ratio < _PIVOT_RTOL:
+            raise SingularMatrix("pivot vanished during elimination")
+        active.remove(best)
+        prow, pb = rows[best], b[best]
+        pivot = prow.pop(k)
+        pivots.append((best, pivot))
+        for i in active:
+            entry = rows[i].pop(k, None)
+            if entry:
+                factor = entry / pivot
+                r = rows[i]
+                for j, v in prow.items():
+                    r[j] = r.get(j, _ZERO) - factor * v
+                b[i] -= factor * pb
+    return rows, b, pivots
+
+
 def solve(system: MnaSystem) -> Solution:
-    """Gaussian elimination in column order with scaled partial pivoting (a
-    row's scale is its largest original entry), then back substitution.  A
-    zero row, or a best scaled pivot below ``_PIVOT_RTOL``, raises
-    ``SingularMatrix``."""
+    """Every unknown of ``system``: ``_eliminate``, then back substitution,
+    then one rounding of each unknown to float."""
     dim = system.dimension
     with localcontext(DECIMAL):
-        rows = [dict(r) for r in system.rows]
-        b = list(system.rhs)
-        scale = [max(map(abs, r.values()), default=_ZERO) for r in rows]
-        if not all(scale):
-            raise SingularMatrix("zero row in system matrix")
-        active, pivots = list(range(dim)), []
-        for k in range(dim):
-            best, ratio = None, _ZERO
-            for i in active:
-                entry = rows[i].get(k)
-                if entry and abs(entry) / scale[i] > ratio:
-                    best, ratio = i, abs(entry) / scale[i]
-            if ratio < _PIVOT_RTOL:
-                raise SingularMatrix("pivot vanished during elimination")
-            active.remove(best)
-            prow, pb = rows[best], b[best]
-            pivot = prow.pop(k)
-            pivots.append((best, pivot))
-            for i in active:
-                entry = rows[i].pop(k, None)
-                if entry:
-                    factor = entry / pivot
-                    r = rows[i]
-                    for j, v in prow.items():
-                        r[j] = r.get(j, _ZERO) - factor * v
-                    b[i] -= factor * pb
+        rows, b, pivots = _eliminate(system)
         x = [_ZERO] * dim
         for k in reversed(range(dim)):
             i, pivot = pivots[k]
@@ -185,7 +195,9 @@ TEST_SOURCE = "__dpi_test"
 def probed_system(lc: LinearCircuit, port: tuple[str, str]) -> MnaSystem:
     """System of ``lc`` with its independent sources zeroed and a unit test
     voltage ``TEST_SOURCE`` across ``port``; the current that the port draws
-    from it is ``-I(TEST_SOURCE)``."""
+    from it is ``-I(TEST_SOURCE)``, the system's last unknown, because the
+    test source is the last element and branch currents follow the node
+    voltages."""
     test = VSource(TEST_SOURCE, port[0], port[1], 1.0)
     return assemble(zero_independent_sources(lc).with_elements(test))
 
@@ -221,8 +233,19 @@ def impedance_from_current(delivered: float, lc: LinearCircuit,
 
 
 def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
-    """Impedance seen into ``port`` with all independent sources zeroed."""
-    delivered = -solve(probed_system(lc, port)).branch_currents[TEST_SOURCE]
+    """Impedance seen into ``port`` with all independent sources zeroed.
+
+    Only the current of the test source is needed, and ``probed_system``
+    appends that source last, so its current is the last unknown.  After
+    ``_eliminate`` the pivot row of the last column holds no other entry,
+    and the current is that row's right-hand side over its pivot: the value
+    ``solve`` would give, without back substitution of the other unknowns.
+    A port node ``lc`` lacks raises ``UnknownNode``."""
+    require_nodes(lc, port)
+    with localcontext(DECIMAL):
+        _, b, pivots = _eliminate(probed_system(lc, port))
+        row, pivot = pivots[-1]
+        delivered = -float(b[row] / pivot)
     return impedance_from_current(delivered, lc, port)
 
 

@@ -252,6 +252,11 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
     to the name.  A node whose 1 - L is zero waits, since later splices
     may change its self-loop; ZeroDeterminant is raised once every
     remaining node has a zero 1 - L.
+
+    Each node's rank is kept and recomputed only for the predecessors and
+    successors of the node just eliminated: a splice changes the edges of
+    those nodes alone, so every other rank, and hence the pivot order, is
+    the same as when all remaining nodes are ranked afresh at every step.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -264,7 +269,6 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
     for u, outs in succ.items():
         for v, gain in outs.items():
             pred[v][u] = gain
-    remaining = set(succ) - {source, sink}
 
     def rank(v):
         """(splices, -|1 - L|, name), or None while 1 - L is zero."""
@@ -275,12 +279,13 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
         looped = v in outs
         return (len(pred[v]) - looped) * (len(outs) - looped), -abs(1.0 - loop), v
 
-    while remaining:
-        ranks = [r for r in map(rank, remaining) if r]
-        if not ranks:
+    ranks = {v: rank(v) for v in set(succ) - {source, sink}}
+    while ranks:
+        best = min(filter(None, ranks.values()), default=None)
+        if best is None:
             raise ZeroDeterminant("every remaining node has a zero 1 - L")
-        v = min(ranks)[2]
-        remaining.remove(v)
+        v = best[2]
+        del ranks[v]
         absorb = 1.0 / (1.0 - succ[v].pop(v, 0.0))
         pred[v].pop(v, None)
         ins, outs = pred.pop(v), succ.pop(v)
@@ -292,6 +297,8 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
             for w, out in outs.items():
                 gain = succ[u].get(w, 0.0) + into * out
                 succ[u][w] = pred[w][u] = gain
+        for w in (ins.keys() | outs.keys()) & ranks.keys():
+            ranks[w] = rank(w)
     return succ[source].get(sink, 0.0)
 
 

@@ -3,7 +3,9 @@
 The impedance oracle here deliberately avoids the package's stamping and
 elimination code: it builds a plain node-conductance matrix for
 resistor-only networks and inverts it with numpy, giving a second route for
-every driving-point check.
+every driving-point check.  ``reference_elimination_gain`` keeps the plain
+form of ``sfg.elimination_gain``, which ranks every remaining node afresh at
+each step, so the incremental one can be held equal to it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from feedback_lens import sfg
 from feedback_lens.feedback import AmplifierParams
-from feedback_lens.netlist import GROUND, Resistor
-from feedback_lens.smallsignal import LinearCircuit
+from feedback_lens.netlist import GROUND, BjtPi, Circuit, OpAmp, Resistor, Vccs
+from feedback_lens.smallsignal import LinearCircuit, linearize
 
 
 def random_resistor_mesh(rng: np.random.Generator, n_nodes: int = 5,
@@ -121,3 +124,80 @@ def random_causal_system(rng: np.random.Generator, max_vars: int = 8):
                 terms.append((d[i], "src"))
             equations.append((variables[i], terms))
         return equations, variables, x
+
+
+@st.composite
+def resistor_meshes(draw, names: list[str]) -> list[Resistor]:
+    """Resistors over [10, 1e7] ohms joining ``names``: a random spanning
+    tree, in the order given, plus up to four chords."""
+    ohms = decades(1, 7)
+    elements = [Resistor(f"R{i}", a, names[draw(st.integers(0, i - 1))], draw(ohms))
+                for i, a in enumerate(names) if i]
+    node = st.sampled_from(names)
+    for i, (a, b) in enumerate(draw(st.lists(st.tuples(node, node), max_size=4))):
+        if a != b:
+            elements.append(Resistor(f"RC{i}", a, b, draw(ohms)))
+    return elements
+
+
+@st.composite
+def active_meshes(draw, max_nodes: int = 8):
+    """A ``resistor_meshes`` mesh on ground and n1..nN carrying a VCCS, a BJT
+    and an op-amp macro between random nodes, linearized, with a port of two
+    distinct nodes."""
+    names = [GROUND] + [f"n{i}" for i in range(1, draw(st.integers(2, max_nodes)) + 1)]
+    node = st.sampled_from(names)
+    ohms = decades(1, 7)
+    elements = draw(resistor_meshes(names))
+    elements += [
+        Vccs("G1", draw(node), draw(node), draw(node), draw(node), draw(decades(-4, 0))),
+        BjtPi("Q1", draw(node), draw(node), draw(node), draw(decades(-4, 0)),
+              draw(ohms), draw(ohms)),
+        OpAmp("X1", draw(node), draw(node), draw(node), draw(decades(1, 5)), draw(ohms)),
+    ]
+    circuit = Circuit("mesh", frozenset(names), tuple(elements))
+    port = tuple(draw(st.permutations(names))[:2])
+    return linearize(circuit), port
+
+
+def reference_elimination_gain(graph: sfg.FlowGraph, src: str, dst: str) -> float:
+    """``sfg.elimination_gain`` ranking every remaining node at every step."""
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    source, sink = object(), object()
+    succ: dict = graph.adjacency()
+    succ.setdefault(src, {})
+    succ.setdefault(dst, {})[sink] = 1.0
+    succ[source], succ[sink] = {src: 1.0}, {}
+    pred: dict = {n: {} for n in succ}
+    for u, outs in succ.items():
+        for v, gain in outs.items():
+            pred[v][u] = gain
+    remaining = set(succ) - {source, sink}
+
+    def rank(v):
+        outs = succ[v]
+        loop = outs.get(v, 0.0)
+        if abs(1.0 - loop) <= sfg._PIVOT_RTOL * max(1.0, abs(loop)):
+            return None
+        looped = v in outs
+        return (len(pred[v]) - looped) * (len(outs) - looped), -abs(1.0 - loop), v
+
+    while remaining:
+        ranks = [r for r in map(rank, remaining) if r]
+        if not ranks:
+            raise sfg.ZeroDeterminant("every remaining node has a zero 1 - L")
+        v = min(ranks)[2]
+        remaining.remove(v)
+        absorb = 1.0 / (1.0 - succ[v].pop(v, 0.0))
+        pred[v].pop(v, None)
+        ins, outs = pred.pop(v), succ.pop(v)
+        for w in outs:
+            del pred[w][v]
+        for u, into in ins.items():
+            del succ[u][v]
+            into *= absorb
+            for w, out in outs.items():
+                gain = succ[u].get(w, 0.0) + into * out
+                succ[u][w] = pred[w][u] = gain
+    return succ[source].get(sink, 0.0)

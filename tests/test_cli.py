@@ -139,6 +139,17 @@ def test_loading_reports_an_open_port_as_infinite(capsys, netlists_dir, tmp_path
     assert "R_of  inf Ω" in out
 
 
+def test_loading_port_node_outside_the_feedback_network(capsys, netlists_dir, tmp_path):
+    net = tmp_path / "moved.net"
+    net.write_text((netlists_dir / "fig3b.net").read_text()
+                   .replace("RC c 0 4.7k", "RC c r 4.7k").replace(".input b 0", ".input b r"))
+    assert run(capsys, "classify", str(net))[1].strip() == "series-shunt (valid)"
+    code, out, err = run(capsys, "loading", str(net))
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown node 'r'\n"
+
+
 def test_runs_without_numpy(netlists_dir):
     script = (
         "import sys\n"

@@ -5,12 +5,12 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from feedback_lens import crosscheck as cc, mna, sfg
 from feedback_lens.netlist import GROUND
 
-from support import random_causal_system, random_resistor_mesh
+from support import random_causal_system, random_resistor_mesh, reference_elimination_gain
 
 NODES = ("a", "b", "c", "d", "e", "f")
 
@@ -52,19 +52,55 @@ def test_elimination_matches_direct_solve_on_random_systems():
 
 def test_zero_pivot_waits_for_later_splices():
     # x's own loop is 1 (1 - L = 0) until eliminating y adds 0.5 to it
-    g = sfg.FlowGraph([("s", "x", 1.0), ("x", "x", 1.0), ("x", "y", 1.0),
-                       ("y", "x", 0.5), ("x", "d", 1.0)])
+    g = WAITING_GRAPH
     assert sfg.elimination_gain(g, "s", "d") == pytest.approx(-2.0, rel=1e-15)
     assert sfg.mason_gain(g, "s", "d") == pytest.approx(-2.0, rel=1e-15)
 
 
+WAITING_GRAPH = sfg.FlowGraph([("s", "x", 1.0), ("x", "x", 1.0), ("x", "y", 1.0),
+                               ("y", "x", 0.5), ("x", "d", 1.0)])
+
+
+def zero_pivot_graph(loop=1.0):
+    # both x and z keep 1 - L = 0 (relative to L) however the others go
+    return sfg.FlowGraph([("s", "x", 2.0), ("x", "x", loop), ("x", "d", 1.0),
+                          ("z", "z", 1.0), ("d", "z", 1.0)])
+
+
 @pytest.mark.parametrize("loop", [1.0, 1.0 + 1e-14])
 def test_all_zero_pivots_raise(loop):
-    # both x and z keep 1 - L = 0 (relative to L) however the others go
-    g = sfg.FlowGraph([("s", "x", 2.0), ("x", "x", loop), ("x", "d", 1.0),
-                       ("z", "z", 1.0), ("d", "z", 1.0)])
+    g = zero_pivot_graph(loop)
     with pytest.raises(sfg.ZeroDeterminant):
         sfg.elimination_gain(g, "s", "d")
+
+
+@st.composite
+def graphs_with_unit_loops(draw):
+    """A graph on up to twelve nodes with one to four edges per node, whose
+    gains include exact 1s, so that self loops with 1 - L = 0 make nodes
+    wait and can leave only zero pivots.  Dense enough that a splice often
+    changes which node ranks first."""
+    n = draw(st.integers(2, 12))
+    nodes = [f"v{i}" for i in range(n)]
+    node = st.sampled_from(nodes)
+    gain = st.one_of(st.sampled_from((1.0, -1.0, 0.5, 2.0)), st.floats(-2.0, 2.0))
+    edges = draw(st.lists(st.tuples(node, node, gain), min_size=n, max_size=4 * n))
+    src, dst = draw(st.permutations(nodes))[:2]
+    return sfg.FlowGraph(edges), src, dst
+
+
+@given(graphs_with_unit_loops())
+@example((WAITING_GRAPH, "s", "d"))
+@example((zero_pivot_graph(), "s", "d"))
+def test_elimination_equals_the_rerank_everything_reference(case):
+    # same pivots, same arithmetic: equal to the bit (repr tells -0.0 and nan)
+    def outcome(route):
+        try:
+            return repr(route(*case))
+        except sfg.ZeroDeterminant:
+            return "ZeroDeterminant"
+
+    assert outcome(sfg.elimination_gain) == outcome(reference_elimination_gain)
 
 
 def test_elimination_edge_cases():

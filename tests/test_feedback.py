@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from feedback_lens import crosscheck, feedback as fb, mna
 from feedback_lens.feedback import AmplifierParams, Mixing, Validity
 from feedback_lens.netlist import (
     GROUND,
     BjtPi,
+    ISource,
     OpAmp,
     Resistor,
     Vccs,
@@ -17,8 +19,8 @@ from feedback_lens.netlist import (
     parse_netlist,
     parse_netlist_file,
 )
-from feedback_lens.smallsignal import LinearCircuit
-from support import draw_params
+from feedback_lens.smallsignal import LinearCircuit, linearize, restrict
+from support import draw_params, resistor_meshes
 
 TYPICAL = AmplifierParams.typical()
 
@@ -208,6 +210,77 @@ def test_loading_rejects_active_feedback():
     )
     with pytest.raises(ValueError):
         fb.loading_effect(net, SERIES_SERIES, ("a", GROUND), ("a", GROUND))
+
+
+def three_probe_loading(net, topo, input_port, output_port):
+    """The loading as defined: R_if and R_of each from its own probe, f from
+    a unit excitation of the sensed quantity (a current into the output
+    side for series sensing, a voltage across it for shunt sensing)."""
+    def dpi(port, shorted):
+        probe = net if shorted is None else net.with_elements(
+            VSource("__short", shorted[0], shorted[1], 0.0))
+        return mna.driving_point_impedance(probe, port)
+
+    r_if = dpi(input_port, output_port if topo.output_sense is Mixing.SHUNT else None)
+    r_of = dpi(output_port, input_port if topo.input_mix is Mixing.SHUNT else None)
+    if topo.output_sense is Mixing.SERIES:
+        excitation = ISource("__excite", output_port[1], output_port[0], 1.0)
+    else:
+        excitation = VSource("__excite", output_port[0], output_port[1], 1.0)
+    if topo.input_mix is Mixing.SHUNT:
+        short = VSource("__mix_short", input_port[0], input_port[1], 0.0)
+        f = -mna.solve_circuit(net.with_elements(excitation, short)).branch_currents["__mix_short"]
+    else:
+        f = mna.solve_circuit(net.with_elements(excitation)).across(input_port)
+    return fb.LoadingModel(R_if=r_if, R_of=r_of, f=f)
+
+
+@st.composite
+def resistive_feedback_networks(draw):
+    """A ``resistor_meshes`` mesh on p, q, up to four inner nodes and, when
+    ``grounded`` is drawn, ground, with input side (p, 0) and output side
+    (q, 0).  Without ground, only a probe or a short at the input side gives
+    the output side a return path."""
+    grounded = draw(st.booleans())
+    names = ["p", "q"] + [f"m{i}" for i in range(draw(st.integers(0, 4)))]
+    names = draw(st.permutations(names + [GROUND] if grounded else names))
+    mesh = LinearCircuit.of(draw(resistor_meshes(names)))
+    return mesh, ("p", GROUND), ("q", GROUND), grounded
+
+
+TOPOLOGIES = [fb.FeedbackTopology(i, o, Validity.VALID) for i in Mixing for o in Mixing]
+
+
+@pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.label)
+@given(case=resistive_feedback_networks())
+def test_loading_matches_the_three_probe_definition(topo, case):
+    net, input_port, output_port, grounded = case
+    open_output = not grounded and topo.input_mix is Mixing.SERIES
+    if open_output and topo.output_sense is Mixing.SERIES:
+        # a unit current into an open port has no solution
+        for loading in (fb.loading_effect, three_probe_loading):
+            with pytest.raises(mna.SingularMatrix):
+                loading(net, topo, input_port, output_port)
+        return
+    got = fb.loading_effect(net, topo, input_port, output_port)
+    expected = three_probe_loading(net, topo, input_port, output_port)
+    assert got.R_if == expected.R_if  # the same probe
+    assert got.R_of == expected.R_of
+    assert (got.R_of == math.inf) == open_output
+    assert got.f == pytest.approx(expected.f, rel=1e-12, abs=0.0)
+
+
+def test_input_side_outside_the_feedback_network_raises_unknown_node(netlists_dir):
+    # RC moved off ground and the input port taken to its far end: the
+    # series-mixed input side (e, r) names a node the network RA/RB lacks
+    text = ((netlists_dir / "fig3b.net").read_text()
+            .replace("RC c 0 4.7k", "RC c r 4.7k").replace(".input b 0", ".input b r"))
+    circuit = parse_netlist(text)
+    input_side, output_side = fb.feedback_ports(circuit)
+    assert input_side == ("e", "r")
+    network = restrict(linearize(circuit), circuit.annotations.feedback_elements)
+    with pytest.raises(mna.UnknownNode, match="'r'"):
+        fb.loading_effect(network, fb.classify_topology(circuit), input_side, output_side)
 
 
 def test_loading_of_circuit_on_bridge_fixture(netlists_dir):

@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from feedback_lens import crosscheck as cc, mna
 from feedback_lens.feedback import feedback_ports, loading_of_circuit
@@ -11,7 +12,7 @@ from feedback_lens.netlist import (
 )
 from feedback_lens.smallsignal import LinearCircuit, linearize, restrict
 
-from support import conductance_impedance_oracle, random_resistor_mesh
+from support import active_meshes, conductance_impedance_oracle, random_resistor_mesh
 
 # Nodal solutions of the two measurement models, computed from their node
 # equations with an independent numpy solve before the solver was written.
@@ -115,8 +116,9 @@ def test_driving_point_zeroes_sources():
 
 
 def test_open_port_reports_infinity():
-    lc = LinearCircuit.of([Resistor("R1", "a", GROUND, 1e3)])
-    assert mna.driving_point_impedance(lc, ("floating", GROUND)) == math.inf
+    # x exists, but no current path joins it to ground
+    lc = LinearCircuit.of([Resistor("R1", "a", GROUND, 1e3), Resistor("R2", "x", "y", 1e3)])
+    assert mna.driving_point_impedance(lc, ("x", GROUND)) == math.inf
 
 
 # irrelevant.net with RF split in two: the feedback network's output side
@@ -136,6 +138,14 @@ RFB m c1 12k
 """
 
 ROUTES = [mna.driving_point_impedance, cc.mason_driving_point_impedance]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("port", [("absent", GROUND), ("a", "absent")])
+def test_absent_port_node_raises_unknown_node(route, port):
+    lc = LinearCircuit.of([Resistor("R1", "a", GROUND, 1e3)])
+    with pytest.raises(mna.UnknownNode, match="'absent'"):
+        route(lc, port)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -213,6 +223,25 @@ def test_case2_model_impedance(netlists_dir):
     lc = linearize(parse_netlist((netlists_dir / "fig9.net").read_text()))
     r = mna.driving_point_impedance(lc, ("e", GROUND))
     assert r == pytest.approx(CASE2_R_X, rel=1e-9)
+
+
+@given(active_meshes())
+def test_driving_point_equals_the_full_solve(case):
+    # reading the test branch after forward elimination is the full solve's
+    # back substitution of that one unknown: equal to the bit
+    lc, port = case
+
+    def outcome(route):
+        try:
+            return repr(route())
+        except mna.SingularMatrix:
+            return "SingularMatrix"
+
+    def full_solve():
+        solution = mna.solve(mna.probed_system(lc, port))
+        return mna.impedance_from_current(-solution.branch_currents[mna.TEST_SOURCE], lc, port)
+
+    assert outcome(lambda: mna.driving_point_impedance(lc, port)) == outcome(full_solve)
 
 
 def test_driving_point_matches_conductance_inversion_oracle():
