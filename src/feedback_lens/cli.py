@@ -108,7 +108,6 @@ def cmd_loading(args) -> int:
 def cmd_impedance(args) -> int:
     lc = linearize(_load_valid_circuit(args.netlist))
     port = tuple(args.port)
-    mna.require_nodes(lc, port)
     values = {"mna": mna.driving_point_impedance(lc, port)}
     if args.all_engines:
         values["mason"] = crosscheck.mason_driving_point_impedance(lc, port)
@@ -148,7 +147,7 @@ def cmd_crosscheck(args) -> int:
     # the documented closed-form error level holds at the typical point only
     typical = args.paper_defaults and not overrides and not args.sweep
     band = crosscheck.CLOSED_FORM_ERROR_BANDS[args.case] if typical else None
-    config = crosscheck.CrossCheckConfig(engine_rtol=args.engine_rtol, closed_error_band=band)
+    config = crosscheck.CrossCheckConfig(closed_error_band=band)
 
     if args.sweep:
         axis, _, raw = args.sweep.partition("=")
@@ -216,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override one parameter (repeatable)")
     p.add_argument("--sweep", metavar="AXIS=V1,V2,...",
                    help="run once per grid value of one parameter")
-    p.add_argument("--engine-rtol", type=float, default=1e-6,
-                   help="pairwise tolerance for the exact engines")
     add_common(p)
     p.set_defaults(func=cmd_crosscheck)
 

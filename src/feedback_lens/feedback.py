@@ -106,6 +106,8 @@ class AmplifierParams:
                 raise ValueError(f"{label} must be >= 0")
         if not (math.isfinite(self.K) and self.K >= 0):
             raise ValueError("K must be finite and >= 0")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta = g_m * r_pi must be positive and finite")
 
     @property
     def beta(self) -> float:

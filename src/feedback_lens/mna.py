@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
 
-from .netlist import GROUND, ISource, Resistor, Vccs, Vcvs, VSource
+from .netlist import GROUND, ISource, Resistor, Vccs, Vcvs, VSource, reachable
 from .smallsignal import LinearCircuit
 
 
@@ -206,17 +206,8 @@ def port_is_open(lc: LinearCircuit, port: tuple[str, str]) -> bool:
     """True when no current path joins the two port nodes once independent
     sources are zeroed: they lie in different connected components of the
     graph whose edges are resistors, VCCS outputs and voltage sources."""
-    adjacent: dict[str, set[str]] = {}
-    for e in lc.elements:
-        if isinstance(e, (Resistor, Vccs, VSource, Vcvs)):
-            adjacent.setdefault(e.n1, set()).add(e.n2)
-            adjacent.setdefault(e.n2, set()).add(e.n1)
-    reached, frontier = {port[0]}, [port[0]]
-    while frontier:
-        for node in adjacent.get(frontier.pop(), set()) - reached:
-            reached.add(node)
-            frontier.append(node)
-    return port[1] not in reached
+    paths = ((e.n1, e.n2) for e in lc.elements if isinstance(e, (Resistor, Vccs, VSource, Vcvs)))
+    return port[1] not in reachable(port[0], paths)
 
 
 def impedance_from_current(delivered: float, lc: LinearCircuit,

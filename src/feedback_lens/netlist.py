@@ -35,6 +35,7 @@ and are stored in SI base units as doubles.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -398,6 +399,20 @@ def _positive_value_violations(e: Element) -> list[Violation]:
     return out
 
 
+def reachable(start: str, edges: Iterable[tuple[str, str]]) -> set[str]:
+    """Nodes joined to ``start`` through the undirected ``edges``."""
+    adjacent: dict[str, set[str]] = {}
+    for a, b in edges:
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    reached, frontier = {start}, [start]
+    while frontier:
+        for node in adjacent.get(frontier.pop(), set()) - reached:
+            reached.add(node)
+            frontier.append(node)
+    return reached
+
+
 def validate(circuit: Circuit) -> ValidationReport:
     """Collect all invariant violations; an empty report means valid.
 
@@ -413,19 +428,10 @@ def validate(circuit: Circuit) -> ValidationReport:
             Violation("no-ground", GROUND, "no element terminal touches ground")
         )
     else:
-        reachable = {GROUND}
-        frontier = [GROUND]
-        adjacency: dict[str, set[str]] = {}
-        for e in circuit.elements:
-            for t in e.terminals:
-                adjacency.setdefault(t, set()).update(e.terminals)
-        while frontier:
-            node = frontier.pop()
-            for nbr in adjacency.get(node, ()):
-                if nbr not in reachable:
-                    reachable.add(nbr)
-                    frontier.append(nbr)
-        for node in sorted(circuit.nodes - reachable):
+        # an element joins each of its terminals to its first
+        grounded = reachable(GROUND, ((e.terminals[0], t) for e in circuit.elements
+                                      for t in e.terminals[1:]))
+        for node in sorted(circuit.nodes - grounded):
             violations.append(
                 Violation("floating-node", node, f"node {node!r} unreachable from ground")
             )

@@ -11,11 +11,11 @@ node-disjoint), and evaluates Mason's gain formula
     gain(src -> dst) = sum_k P_k * D_k / D
 
 where P_k are forward-path gains, D the determinant and D_k the determinant
-of the graph with the k-th path's nodes deleted.  It is exponential in
-general, so every walk is bounded by an explicit cap (default 10 000);
-exceeding it raises LimitExceeded rather than truncating silently.  The
-case-1 and case-2 graphs of ``crosscheck.mason_rx`` use it, and the tests
-use it as the oracle for the second route.
+of the graph with the k-th path's nodes deleted.  Loops and paths come from
+one depth-first walk, exponential in general, so each count is bounded by
+the fixed ``DEFAULT_CAP``; exceeding it raises LimitExceeded rather than
+truncating silently.  The case-1 and case-2 graphs of ``crosscheck.mason_rx``
+use it, and the tests use it as the oracle for the second route.
 
 Node elimination (``elimination_gain``) applies the reduction rules of
 Mason, "Feedback theory -- further properties of signal flow graphs"
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 
 DEFAULT_CAP = 10_000
@@ -41,9 +42,7 @@ class MultipleDefinitions(Exception):
 
 
 class LimitExceeded(Exception):
-    def __init__(self, cap: int, what: str):
-        super().__init__(f"more than {cap} {what}; raise the cap to proceed")
-        self.cap = cap
+    pass
 
 
 class ZeroDeterminant(Exception):
@@ -71,6 +70,7 @@ class MasonTerms:
     loops: tuple[Loop, ...]
     determinant: float
     cofactors: tuple[float, ...]
+    determinant_scale: float  # sum of |term| over the determinant's expansion
 
     @property
     def gain(self) -> float:
@@ -140,106 +140,98 @@ def from_linear_system(
     return graph
 
 
-def enumerate_loops(graph: FlowGraph, cap: int = DEFAULT_CAP) -> list[Loop]:
-    """All simple directed cycles, each reported once, rotated to start at
-    its smallest node, ordered lexicographically."""
-    adjacency = graph.adjacency()
-    order = {n: i for i, n in enumerate(adjacency)}
-    loops: list[Loop] = []
-
-    def walk(start: str, node: str, path: list[str], gain: float, visited: set[str]):
-        for nbr, edge_gain in adjacency[node].items():
-            if nbr == start:
-                if len(loops) >= cap:
-                    raise LimitExceeded(cap, "loops")
-                loops.append(Loop(tuple(path), gain * edge_gain))
-            elif order[nbr] > order[start] and nbr not in visited:
-                visited.add(nbr)
-                path.append(nbr)
-                walk(start, nbr, path, gain * edge_gain, visited)
-                path.pop()
-                visited.remove(nbr)
-
-    for start in adjacency:
-        walk(start, start, [start], 1.0, {start})
-    loops.sort(key=lambda l: l.nodes)
-    return loops
-
-
-def enumerate_forward_paths(
-    graph: FlowGraph, src: str, dst: str, cap: int = DEFAULT_CAP
-) -> list[Path]:
-    """All simple paths src -> dst with gains, in lexicographic order."""
-    if src == dst:
-        raise ValueError("src and dst must differ")
-    adjacency = graph.adjacency()
-    paths: list[Path] = []
+def _walks(adjacency: dict[str, dict[str, float]], ends: list[tuple[str, str, str]],
+           make: type, what: str) -> list:
+    """``make(nodes, gain)`` of each simple walk start -> target through nodes
+    not before floor in name order, for each (start, target, floor) of
+    ``ends``.  A loop (target == start) lists its nodes once, a path up to
+    its target; past ``DEFAULT_CAP`` of them it raises LimitExceeded."""
+    found: list = []
 
     def walk(node: str, path: list[str], gain: float, visited: set[str]):
         for nbr, edge_gain in adjacency[node].items():
-            if nbr == dst:
-                if len(paths) >= cap:
-                    raise LimitExceeded(cap, "forward paths")
-                paths.append(Path(tuple(path) + (dst,), gain * edge_gain))
-            elif nbr not in visited:
+            if nbr == target:
+                if len(found) >= DEFAULT_CAP:
+                    raise LimitExceeded(f"more than {DEFAULT_CAP} {what}; use elimination_gain")
+                found.append(make(tuple(path) + closing, gain * edge_gain))
+            elif nbr >= floor and nbr not in visited:
                 visited.add(nbr)
                 path.append(nbr)
                 walk(nbr, path, gain * edge_gain, visited)
                 path.pop()
                 visited.remove(nbr)
 
-    if src in adjacency:
-        walk(src, [src], 1.0, {src})
-    paths.sort(key=lambda p: p.nodes)
-    return paths
+    for start, target, floor in ends:
+        closing = () if target == start else (target,)
+        walk(start, [start], 1.0, {start})
+    found.sort(key=attrgetter("nodes"))
+    return found
 
 
-def _nontouching_expansion(loops: list[Loop]) -> float:
-    """1 - sum L_i + sum L_i*L_j - ... over mutually node-disjoint loop sets."""
+def enumerate_loops(graph: FlowGraph) -> list[Loop]:
+    """All simple directed cycles, each reported once, rotated to start at
+    its smallest node, ordered lexicographically."""
+    adjacency = graph.adjacency()
+    return _walks(adjacency, [(n, n, n) for n in adjacency], Loop, "loops")
+
+
+def enumerate_forward_paths(graph: FlowGraph, src: str, dst: str) -> list[Path]:
+    """All simple paths src -> dst with gains, in lexicographic order."""
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    adjacency = graph.adjacency()
+    return _walks(adjacency, [(src, dst, "")] if src in adjacency else [], Path, "forward paths")
+
+
+def _nontouching_expansion(loops: list[Loop]) -> tuple[float, float]:
+    """1 - sum L_i + sum L_i*L_j - ... over mutually node-disjoint loop sets,
+    and the sum of the magnitudes of those terms."""
     node_sets = [frozenset(l.nodes) for l in loops]
-    total = 1.0
+    total = scale = 1.0
 
-    def extend(next_index: int, gain: float, used: frozenset[str], size: int):
-        nonlocal total
+    def extend(next_index: int, gain: float, used: frozenset[str], sign: float):
+        nonlocal total, scale
         for j in range(next_index, len(loops)):
             if node_sets[j] & used:
                 continue
             combined = gain * loops[j].gain
-            total += -combined if (size + 1) % 2 else combined
-            extend(j + 1, combined, used | node_sets[j], size + 1)
+            total += sign * combined
+            scale += abs(combined)
+            extend(j + 1, combined, used | node_sets[j], -sign)
 
-    extend(0, 1.0, frozenset(), 0)
-    return total
-
-
-def graph_determinant(graph: FlowGraph, cap: int = DEFAULT_CAP) -> float:
-    return _nontouching_expansion(enumerate_loops(graph, cap))
+    extend(0, 1.0, frozenset(), -1.0)
+    return total, scale
 
 
-def mason_terms(
-    graph: FlowGraph, src: str, dst: str, cap: int = DEFAULT_CAP
-) -> MasonTerms:
+def graph_determinant(graph: FlowGraph) -> float:
+    return _nontouching_expansion(enumerate_loops(graph))[0]
+
+
+def mason_terms(graph: FlowGraph, src: str, dst: str) -> MasonTerms:
     """Forward paths, loops, determinant and per-path cofactors for src->dst."""
-    paths = enumerate_forward_paths(graph, src, dst, cap)
-    loops = enumerate_loops(graph, cap)
-    determinant = _nontouching_expansion(loops)
+    paths = enumerate_forward_paths(graph, src, dst)
+    loops = enumerate_loops(graph)
+    determinant, scale = _nontouching_expansion(loops)
     cofactors = []
     for path in paths:
         path_nodes = set(path.nodes)
-        untouched = [l for l in loops if not set(l.nodes) & path_nodes]
-        cofactors.append(_nontouching_expansion(untouched))
-    return MasonTerms(tuple(paths), tuple(loops), determinant, tuple(cofactors))
+        untouched = [l for l in loops if path_nodes.isdisjoint(l.nodes)]
+        cofactors.append(_nontouching_expansion(untouched)[0])
+    return MasonTerms(tuple(paths), tuple(loops), determinant, tuple(cofactors), scale)
 
 
-def mason_gain(graph: FlowGraph, src: str, dst: str, cap: int = DEFAULT_CAP) -> float:
-    terms = mason_terms(graph, src, dst, cap)
-    if terms.determinant == 0.0:
-        raise ZeroDeterminant("graph determinant is zero")
-    return terms.gain
-
-
-# 1 - L below this, relative to max(1, |L|), is a zero pivot.
+# A pivot 1 - L, or a determinant, this small relative to the magnitude of
+# the terms it was summed from is rounding residue, that is zero.
 _PIVOT_RTOL = 1e-12
+
+
+def mason_gain(graph: FlowGraph, src: str, dst: str) -> float:
+    """Transmission src -> dst by Mason's formula; a determinant that is
+    rounding residue raises ZeroDeterminant."""
+    terms = mason_terms(graph, src, dst)
+    if abs(terms.determinant) <= _PIVOT_RTOL * terms.determinant_scale:
+        raise ZeroDeterminant("graph determinant is zero to rounding")
+    return terms.gain
 
 
 def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
@@ -300,22 +292,3 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
         for w in (ins.keys() | outs.keys()) & ranks.keys():
             ranks[w] = rank(w)
     return succ[source].get(sink, 0.0)
-
-
-def parse_edge_list(text: str) -> FlowGraph:
-    """Read the ``from to gain`` one-edge-per-line exchange format."""
-    graph = FlowGraph()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 3:
-            raise ValueError(f"line {lineno}: expected 'from to gain'")
-        graph.add_edge(tokens[0], tokens[1], float(tokens[2]))
-    return graph
-
-
-def format_edge_list(graph: FlowGraph) -> str:
-    lines = [f"{u} {v} {g!r}" for u, v, g in graph.edges]
-    return "\n".join(lines) + "\n"

@@ -1,14 +1,19 @@
+import argparse
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import feedback_lens
+from feedback_lens import cli
 from feedback_lens.cli import main
 
 from support import random_resistor_mesh
@@ -275,6 +280,67 @@ def test_crosscheck_case2_zero_gain_is_a_typed_error(capsys):
     code, out, err = run(capsys, "crosscheck", "--case", "2", "--set", "k=0")
     assert code == 1 and out == ""
     assert err.startswith("error: K must be nonzero")
+
+
+@pytest.mark.parametrize("case,sets", [
+    ("1", ["gm=1e20"]),  # the flow graph's gain v_x -> i_x underflows to 0
+    ("2", ["ro=1e-320", "gm=1e-20"]),  # g_m * r_o underflows in the flow graph
+    ("2", ["rpi=5e-324", "gm=1e-9"]),  # beta underflows to 0
+    ("1", ["rpi=5e-324", "gm=1e-9"]),
+])
+def test_crosscheck_parameters_out_of_float_range_are_typed_errors(capsys, case, sets):
+    argv = ["crosscheck", "--case", case]
+    for pair in sets:
+        argv += ["--set", pair]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_impedance_on_a_case_circuit_whose_beta_underflows(capsys, netlists_dir, tmp_path):
+    # g_m * r_pi is 0 in floating point, so the circuit is no case circuit
+    # and only the two general engines report
+    text = (netlists_dir / "fig7.net").read_text()
+    net = tmp_path / "tiny_beta.net"
+    net.write_text(text.replace("Rpi b e 2.5k", "Rpi b e 1e-5").replace("40m", "1e-320"))
+    code, out, err = run(capsys, "impedance", str(net), "--port", "c", "0", "--all-engines")
+    assert code == 0 and err == ""
+    assert [line.split()[0] for line in out.splitlines()] == ["mna", "mason"]
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+extreme_values = st.one_of(
+    st.sampled_from(["0", "-1", "5e-324", "1e308"]),
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-324, 307)),
+)
+
+
+@given(case=st.sampled_from(["1", "2"]),
+       sets=st.lists(st.tuples(st.sampled_from(sorted(cli._PARAM_ALIASES)), extreme_values),
+                     max_size=6))
+def test_crosscheck_on_extreme_parameters_exits_cleanly(case, sets):
+    argv = ["crosscheck", "--case", case]
+    for name, value in sets:
+        argv += ["--set", f"{name}={value}"]
+    code, _, err = run_quiet(*argv)  # a traceback would propagate out of main
+    assert code in (0, 1, 2)
+    assert err.count("\n") == (code == 1)
+
+
+def test_readme_documents_exactly_the_cli_options():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--") and a.dest != "help"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    assert options == set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
 
 
 def test_impedance_all_engines_on_renamed_fixture(capsys, netlists_dir, tmp_path):

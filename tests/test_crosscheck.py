@@ -118,6 +118,17 @@ def test_relative_error_is_symmetric_and_normalized():
     assert cc.relative_error(0.0, 0.0) == 0.0
 
 
+def test_relative_error_needs_no_zero_threshold():
+    # the scale is 0.0 only when both values are zeros, which agree exactly;
+    # any other pair, however small, has a well-defined ratio, so a
+    # threshold on the scale would only hide real disagreement
+    assert cc.relative_error(0.0, -0.0) == 0.0
+    assert cc.relative_error(5e-324, 0.0) == 1.0
+    assert cc.relative_error(5e-324, 1e-323) == 0.5
+    assert cc.relative_error(1e-310, -1e-310) == 2.0
+    assert cc.relative_error(3e-320, 3e-320) == 0.0
+
+
 def test_sweep_monotone_and_consistent():
     reports = cc.sweep(1, TYPICAL, "K", [10.0, 100.0, 1000.0])
     values = [r.values["exact_formula"] for r in reports]

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ def test_param_validation():
         AmplifierParams.typical(g_m=0.0)
     with pytest.raises(ValueError):
         AmplifierParams.typical(K=math.inf)
+    with pytest.raises(ValueError, match="beta"):
+        AmplifierParams.typical(g_m=1e-9, r_pi=5e-324)  # beta underflows to 0
 
 
 # --------------------------------------------------------------------------
@@ -236,12 +239,12 @@ def three_probe_loading(net, topo, input_port, output_port):
 
 
 @st.composite
-def resistive_feedback_networks(draw):
+def resistive_feedback_networks(draw, grounded=st.booleans()):
     """A ``resistor_meshes`` mesh on p, q, up to four inner nodes and, when
     ``grounded`` is drawn, ground, with input side (p, 0) and output side
     (q, 0).  Without ground, only a probe or a short at the input side gives
     the output side a return path."""
-    grounded = draw(st.booleans())
+    grounded = draw(grounded)
     names = ["p", "q"] + [f"m{i}" for i in range(draw(st.integers(0, 4)))]
     names = draw(st.permutations(names + [GROUND] if grounded else names))
     mesh = LinearCircuit.of(draw(resistor_meshes(names)))
@@ -268,6 +271,54 @@ def test_loading_matches_the_three_probe_definition(topo, case):
     assert got.R_of == expected.R_of
     assert (got.R_of == math.inf) == open_output
     assert got.f == pytest.approx(expected.f, rel=1e-12, abs=0.0)
+
+
+def two_port_y(net, ports):
+    """Short-circuit admittance matrix of the two-port whose ports join each
+    of ``ports`` to ground, in exact arithmetic: the Schur complement of the
+    node conductance matrix onto the port nodes."""
+    nodes = sorted(net.nodes - {GROUND})
+    g = {(a, b): Fraction(0) for a in nodes for b in nodes}
+    for e in net.elements:
+        c = 1 / Fraction(e.ohms)
+        for a, b, v in ((e.n1, e.n1, c), (e.n2, e.n2, c), (e.n1, e.n2, -c), (e.n2, e.n1, -c)):
+            if GROUND not in (a, b):
+                g[a, b] += v
+    rest = list(nodes)
+    for k in (n for n in nodes if n not in ports):
+        rest.remove(k)
+        for i in rest:
+            for j in rest:
+                g[i, j] -= g[i, k] * g[k, j] / g[k, k]
+    return [[g[i, j] for j in ports] for i in ports]
+
+
+def two_port_loading(y, topo):
+    """(R_if, R_of, f) from the parameter set of the topology: z for
+    series-series, y for shunt-shunt, h for series-shunt and g for
+    shunt-series (Gray, Hurst, Lewis and Meyer, *Analysis and Design of
+    Analog Integrated Circuits*, ch. 8), each converted from y."""
+    (y11, y12), (y21, y22) = y
+    det = y11 * y22 - y12 * y21
+    z11, z22, z12 = y22 / det, y11 / det, -y12 / det
+    h11, h22, h12 = 1 / y11, det / y11, -y12 / y11
+    g11, g22, g12 = det / y22, 1 / y22, y12 / y22
+    return {
+        (Mixing.SERIES, Mixing.SERIES): (z11, z22, z12),
+        (Mixing.SHUNT, Mixing.SHUNT): (1 / y11, 1 / y22, y12),
+        (Mixing.SERIES, Mixing.SHUNT): (h11, 1 / h22, h12),
+        (Mixing.SHUNT, Mixing.SERIES): (1 / g11, g22, g12),
+    }[topo.input_mix, topo.output_sense]
+
+
+@pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.label)
+@given(case=resistive_feedback_networks(grounded=st.just(True)))
+def test_loading_equals_the_two_port_parameters_of_its_topology(topo, case):
+    net, input_port, output_port, _ = case
+    got = fb.loading_effect(net, topo, input_port, output_port)
+    expected = two_port_loading(two_port_y(net, (input_port[0], output_port[0])), topo)
+    for value, exact in zip((got.R_if, got.R_of, got.f), expected):
+        assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 def test_input_side_outside_the_feedback_network_raises_unknown_node(netlists_dir):

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from feedback_lens import crosscheck, sfg
 from feedback_lens.feedback import AmplifierParams
@@ -10,32 +13,33 @@ TYPICAL = AmplifierParams.typical()
 
 # Hand-typed golden graphs for the two output-series cases at the typical
 # operating point (s = r_out + r_pi = 502.5e3, gm = 0.04, K = 1000, R1 = 1k,
-# r_o = 100k); kept literal on purpose as fixtures for the edge-list format.
-CASE1_EDGES = """\
-v_pi i_o 0.0404
-v_x i_o 1e-5
-v_c i_o -1e-5
-i_o v_c 1000.0
-i_o v_diff -1000.0
-v_diff v_pi 4.975124378109453
-v_c v_pi -0.004975124378109453
-v_x i_x 1e-5
-v_c i_x -1e-5
-v_pi i_x 0.04
-"""
+# r_o = 100k); kept literal on purpose, independent of the equations in
+# crosscheck.
+CASE1_EDGES = [
+    ("v_pi", "i_o", 0.0404),
+    ("v_x", "i_o", 1e-5),
+    ("v_c", "i_o", -1e-5),
+    ("i_o", "v_c", 1000.0),
+    ("i_o", "v_diff", -1000.0),
+    ("v_diff", "v_pi", 4.975124378109453),
+    ("v_c", "v_pi", -0.004975124378109453),
+    ("v_x", "i_x", 1e-5),
+    ("v_c", "i_x", -1e-5),
+    ("v_pi", "i_x", 0.04),
+]
 
-CASE2_EDGES = """\
-i_x v_pi -25.0
-v_c v_pi -0.00025
-v_x v_pi 0.00025
-i_o v_x 100000.0
-v_pi v_x 4000.0
-v_c v_x 1.0
-v_pi v_diff 0.201
-v_x v_diff 0.001
-v_diff i_o 0.001
-i_o v_c 1000.0
-"""
+CASE2_EDGES = [
+    ("i_x", "v_pi", -25.0),
+    ("v_c", "v_pi", -0.00025),
+    ("v_x", "v_pi", 0.00025),
+    ("i_o", "v_x", 100000.0),
+    ("v_pi", "v_x", 4000.0),
+    ("v_c", "v_x", 1.0),
+    ("v_pi", "v_diff", 0.201),
+    ("v_x", "v_diff", 0.001),
+    ("v_diff", "i_o", 0.001),
+    ("i_o", "v_c", 1000.0),
+]
 
 
 def test_from_linear_system_single_edge():
@@ -154,14 +158,57 @@ def test_zero_determinant_raises():
         sfg.mason_gain(g, "s", "d")
 
 
-def test_enumeration_cap_is_an_error_not_truncation():
+# An untouched loop of gain -1 makes the signed sum of the determinant's
+# terms 0, so only the sum of their magnitudes can tell residue from zero.
+@pytest.mark.parametrize("untouched", [[], [("w", "w", -1.0)]])
+def test_determinant_of_rounding_residue_raises_on_both_routes(untouched):
+    # D = 1 - 0.7 - 0.3 is 5.6e-17 in floating point, not 0
+    g = sfg.FlowGraph([("s", "x", 1.0), ("x", "x", 0.7), ("x", "z", 1.0),
+                       ("z", "x", 0.3), ("x", "d", 1.0)] + untouched)
+    assert 0.0 < abs(sfg.graph_determinant(g)) < 1e-15
+    with pytest.raises(sfg.ZeroDeterminant):
+        sfg.mason_gain(g, "s", "d")
+    with pytest.raises(sfg.ZeroDeterminant):
+        sfg.elimination_gain(g, "s", "d")
+
+
+def test_enumeration_cap_is_an_error_not_truncation(monkeypatch):
     nodes = [f"n{i}" for i in range(6)]
     edges = [(a, b, 0.1) for a in nodes for b in nodes if a != b]
     g = sfg.FlowGraph(edges)
+    monkeypatch.setattr(sfg, "DEFAULT_CAP", 5)
+    with pytest.raises(sfg.LimitExceeded, match="more than 5 loops; use elimination_gain"):
+        sfg.enumerate_loops(g)
+    monkeypatch.setattr(sfg, "DEFAULT_CAP", 3)
+    with pytest.raises(sfg.LimitExceeded, match="more than 3 forward paths"):
+        sfg.enumerate_forward_paths(g, "n0", "n5")
     with pytest.raises(sfg.LimitExceeded):
-        sfg.enumerate_loops(g, cap=5)
-    with pytest.raises(sfg.LimitExceeded):
-        sfg.enumerate_forward_paths(g, "n0", "n5", cap=3)
+        sfg.mason_gain(g, "n0", "n5")
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"),
+                          st.floats(-2.0, 2.0)), max_size=12),
+       st.permutations("abcde"))
+def test_walks_match_a_brute_force_enumeration(edges, order):
+    g = sfg.FlowGraph(edges)
+    present = {(u, v) for u, v, _ in g.edges}
+
+    def gain(nodes):
+        total = 1.0
+        for u, v in zip(nodes, nodes[1:]):
+            if (u, v) not in present:
+                return None
+            total *= g.gain(u, v)
+        return total
+
+    sequences = [p for k in range(1, 6) for p in itertools.permutations(g.nodes, k)]
+    loops = [sfg.Loop(p, gain(p + p[:1])) for p in sequences
+             if p[0] == min(p) and gain(p + p[:1]) is not None]
+    src, dst = order[:2]
+    paths = [sfg.Path(p, gain(p)) for p in sequences
+             if len(p) > 1 and p[0] == src and p[-1] == dst and gain(p) is not None]
+    assert sfg.enumerate_loops(g) == sorted(loops, key=lambda l: l.nodes)
+    assert sfg.enumerate_forward_paths(g, src, dst) == sorted(paths, key=lambda p: p.nodes)
 
 
 def test_identical_endpoints_rejected():
@@ -170,23 +217,14 @@ def test_identical_endpoints_rejected():
         sfg.enumerate_forward_paths(g, "a", "a")
 
 
-def test_edge_list_round_trip():
-    g = sfg.FlowGraph([("a", "b", 1.5), ("b", "a", -0.25), ("b", "c", 1e-7)])
-    text = sfg.format_edge_list(g)
-    back = sfg.parse_edge_list(text)
-    assert back.edges == g.edges
-    with pytest.raises(ValueError):
-        sfg.parse_edge_list("a b\n")
-
-
 def test_hand_typed_golden_graphs_match_programmatic_ones():
-    g1 = sfg.parse_edge_list(CASE1_EDGES)
+    g1 = sfg.FlowGraph(CASE1_EDGES)
     gain = sfg.mason_gain(g1, "v_x", "i_x")
     assert 1.0 / gain == pytest.approx(6758132.690389, rel=1e-9)
     prog = sfg.mason_gain(crosscheck.case1_flow_graph(TYPICAL), "v_x", "i_x")
     assert gain == pytest.approx(prog, rel=1e-9)
 
-    g2 = sfg.parse_edge_list(CASE2_EDGES)
+    g2 = sfg.FlowGraph(CASE2_EDGES)
     assert sfg.mason_gain(g2, "i_x", "v_x") == pytest.approx(956986.6698405, rel=1e-9)
 
 
