@@ -209,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="compare all engines on one output-series case")
     p.add_argument("--case", type=int, choices=(1, 2), required=True)
     p.add_argument("--paper-defaults", action="store_true",
-                   help="use the typical textbook parameter set; without --set or "
-                        "--sweep, judge the closed form against its documented error level")
+                   help="judge the closed form against its documented error level at "
+                        "the typical parameter set, which every run starts from; "
+                        "applied only without --set or --sweep")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="override one parameter (repeatable)")
     p.add_argument("--sweep", metavar="AXIS=V1,V2,...",
@@ -239,9 +240,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UnclassifiableTopology, InvalidMacroParams, mna.SingularMatrix,
-            mna.UnknownSource, mna.UnknownNode, sfg.LimitExceeded, sfg.ZeroDeterminant,
-            ValueError) as exc:
+    except (UnclassifiableTopology, InvalidMacroParams, mna.SingularMatrix, mna.UnknownNode,
+            sfg.LimitExceeded, sfg.ZeroDeterminant, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -229,22 +229,21 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
     for name, i in system.index.items():
         names[i] = name
     rows, b = system.rows, system.rhs
-    equations = []
+    edges = []
     with localcontext(mna.DECIMAL):
         for var, i in enumerate(_diagonal_assignment([sorted(row) for row in rows])):
             pivot = rows[i][var]
-            terms = [(float(b[i] / pivot), SYSTEM_SOURCE)] if b[i] else []
-            terms += [(float(-v / pivot), names[j])
+            if b[i]:
+                edges.append((SYSTEM_SOURCE, names[var], float(b[i] / pivot)))
+            edges += [(names[j], names[var], float(-v / pivot))
                       for j, v in sorted(rows[i].items()) if j != var]
-            equations.append((names[var], terms))
-    return sfg.from_linear_system(equations)
+    return sfg.FlowGraph(edges, names)
 
 
 def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
     probed nodal system; independent second route to the nodal solve.  A
     port node ``lc`` lacks raises ``mna.UnknownNode``."""
-    mna.require_nodes(lc, port)
     system = mna.probed_system(lc, port)
     gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE,
                                 f"I({mna.TEST_SOURCE})")
@@ -356,8 +355,8 @@ def report_to_dict(report: CrossCheckReport) -> dict:
         "quantity": report.quantity,
         "parameters": json_safe(report.parameters),
         "values": json_safe(report.values),
-        "relative_errors": report.relative_errors,
-        "closed_form_error": report.closed_form_error,
+        "relative_errors": json_safe(report.relative_errors),
+        **json_safe({"closed_form_error": report.closed_form_error}),
         "verdict": report.verdict,
     }
 

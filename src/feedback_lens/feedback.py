@@ -300,7 +300,6 @@ def loading_effect(
     output_probe = shorted(input_port) if topo.input_mix is Mixing.SHUNT else fb
     r_if = mna.driving_point_impedance(input_probe, input_port)
 
-    mna.require_nodes(output_probe, output_port)
     solution = mna.solve(mna.probed_system(output_probe, output_port))
     delivered = -solution.branch_currents[mna.TEST_SOURCE]
     r_of = mna.impedance_from_current(delivered, output_probe, output_port)

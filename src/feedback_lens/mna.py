@@ -29,10 +29,6 @@ class SingularMatrix(Exception):
     contradictory voltage sources."""
 
 
-class UnknownSource(Exception):
-    pass
-
-
 class UnknownNode(Exception):
     pass
 
@@ -134,7 +130,8 @@ def _eliminate(system: MnaSystem):
     b = list(system.rhs)
     scale = [max(map(abs, r.values()), default=_ZERO) for r in rows]
     if not all(scale):
-        raise SingularMatrix("zero row in system matrix")
+        name = next(n for n, i in system.index.items() if not scale[i])
+        raise SingularMatrix(f"zero row in system matrix for {name}")
     active, pivots = list(range(system.dimension)), []
     for k in range(system.dimension):
         best, ratio = None, _ZERO
@@ -178,28 +175,24 @@ def solve_circuit(lc: LinearCircuit) -> Solution:
     return solve(assemble(lc))
 
 
-def zero_independent_sources(lc: LinearCircuit) -> LinearCircuit:
-    """Voltage sources become shorts (value 0), current sources open."""
-    elements = [
-        replace(e, volts=0.0) if isinstance(e, VSource) else e
-        for e in lc.elements
-        if not isinstance(e, ISource)
-    ]
-    return LinearCircuit.of(elements, lc.provenance)
-
-
 # Branch of the unit test voltage that probed_system attaches across a port.
 TEST_SOURCE = "__dpi_test"
 
 
 def probed_system(lc: LinearCircuit, port: tuple[str, str]) -> MnaSystem:
-    """System of ``lc`` with its independent sources zeroed and a unit test
-    voltage ``TEST_SOURCE`` across ``port``; the current that the port draws
-    from it is ``-I(TEST_SOURCE)``, the system's last unknown, because the
-    test source is the last element and branch currents follow the node
-    voltages."""
-    test = VSource(TEST_SOURCE, port[0], port[1], 1.0)
-    return assemble(zero_independent_sources(lc).with_elements(test))
+    """System of ``lc`` with its independent sources zeroed (voltage sources
+    shorted, current sources opened) and a unit test voltage ``TEST_SOURCE``
+    across ``port``; the current that the port draws from it is
+    ``-I(TEST_SOURCE)``, the system's last unknown, because the test source
+    is the last element and branch currents follow the node voltages.  A
+    port node ``lc`` lacks raises ``UnknownNode``."""
+    for node in port:
+        if node not in lc.nodes:
+            raise UnknownNode(f"unknown node {node!r}")
+    elements = [replace(e, volts=0.0) if isinstance(e, VSource) else e
+                for e in lc.elements if not isinstance(e, ISource)]
+    elements.append(VSource(TEST_SOURCE, port[0], port[1], 1.0))
+    return assemble(LinearCircuit.of(elements, lc.provenance))
 
 
 def port_is_open(lc: LinearCircuit, port: tuple[str, str]) -> bool:
@@ -232,36 +225,8 @@ def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     and the current is that row's right-hand side over its pivot: the value
     ``solve`` would give, without back substitution of the other unknowns.
     A port node ``lc`` lacks raises ``UnknownNode``."""
-    require_nodes(lc, port)
     with localcontext(DECIMAL):
         _, b, pivots = _eliminate(probed_system(lc, port))
         row, pivot = pivots[-1]
         delivered = -float(b[row] / pivot)
     return impedance_from_current(delivered, lc, port)
-
-
-def require_nodes(lc: LinearCircuit, nodes) -> None:
-    """Raise ``UnknownNode`` for the first of ``nodes`` not in ``lc``."""
-    for node in nodes:
-        if node not in lc.nodes:
-            raise UnknownNode(f"unknown node {node!r}")
-
-
-def transfer(lc: LinearCircuit, source: str, observe: tuple[str, str]) -> float:
-    """Voltage across ``observe`` per unit value of the named independent
-    source, all other independent sources zeroed."""
-    require_nodes(lc, observe)
-    target = next((e for e in lc.elements if e.name == source), None)
-    if isinstance(target, VSource):
-        unit = replace(target, volts=1.0)
-    elif isinstance(target, ISource):
-        unit = replace(target, amps=1.0)
-    else:
-        raise UnknownSource(f"{source!r} is not an independent source")
-    others = [e for e in zero_independent_sources(lc).elements if e.name != source]
-    circuit = LinearCircuit.of(others + [unit], lc.provenance)
-    for node in observe:
-        if node not in circuit.nodes:
-            # only zeroed current sources touch it, so nothing sets its voltage
-            raise SingularMatrix(f"node {node!r} floats once the other sources are zeroed")
-    return solve(assemble(circuit)).across(observe)

@@ -30,6 +30,7 @@ the nodal solver's elimination.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -79,43 +80,34 @@ class MasonTerms:
 
 
 class FlowGraph:
-    """Directed weighted graph; parallel edges are summed on insertion."""
+    """Directed weighted graph held as a successor map: every node, then
+    each node's successors with their edge gains, both in name order.
+    Parallel edges are summed; ``nodes`` may add nodes that no edge touches."""
 
-    def __init__(self, edges: "list[tuple[str, str, float]] | None" = None):
-        self._edges: dict[tuple[str, str], float] = {}
-        self._extra_nodes: set[str] = set()
-        for u, v, gain in edges or []:
-            self.add_edge(u, v, gain)
-
-    def add_node(self, name: str):
-        self._extra_nodes.add(name)
-
-    def add_edge(self, u: str, v: str, gain: float):
-        if not math.isfinite(gain):
-            raise ValueError(f"edge {u}->{v} gain must be finite")
-        self._edges[(u, v)] = self._edges.get((u, v), 0.0) + gain
+    def __init__(self, edges: Iterable[tuple[str, str, float]] = (), nodes: Iterable[str] = ()):
+        succ: dict[str, dict[str, float]] = {n: {} for n in nodes}
+        for u, v, gain in edges:
+            if not math.isfinite(gain):
+                raise ValueError(f"edge {u}->{v} gain must be finite")
+            outs = succ.setdefault(u, {})
+            succ.setdefault(v, {})
+            outs[v] = outs.get(v, 0.0) + gain
+        self._succ = {u: dict(sorted(succ[u].items())) for u in sorted(succ)}
 
     @property
     def nodes(self) -> tuple[str, ...]:
-        names = set(self._extra_nodes)
-        for u, v in self._edges:
-            names.add(u)
-            names.add(v)
-        return tuple(sorted(names))
+        return tuple(self._succ)
 
     @property
     def edges(self) -> tuple[tuple[str, str, float], ...]:
-        return tuple((u, v, g) for (u, v), g in sorted(self._edges.items()))
+        return tuple((u, v, g) for u, outs in self._succ.items() for v, g in outs.items())
 
     def gain(self, u: str, v: str) -> float:
-        return self._edges.get((u, v), 0.0)
+        return self._succ.get(u, {}).get(v, 0.0)
 
     def adjacency(self) -> dict[str, dict[str, float]]:
-        """Successors of every node with their edge gains, both in name order."""
-        out: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
-        for (u, v), gain in sorted(self._edges.items()):
-            out[u][v] = gain
-        return out
+        """A copy of the successor map."""
+        return {u: dict(outs) for u, outs in self._succ.items()}
 
 
 def from_linear_system(
@@ -127,17 +119,13 @@ def from_linear_system(
     and contributes an edge of weight c from every x to y.  A variable may be
     defined by at most one equation; source variables are defined by none.
     """
-    graph = FlowGraph()
     defined: set[str] = set()
-    for lhs, terms in equations:
+    for lhs, _ in equations:
         if lhs in defined:
             raise MultipleDefinitions(f"variable {lhs!r} defined more than once")
         defined.add(lhs)
-        graph.add_node(lhs)
-        for coef, var in terms:
-            graph.add_node(var)
-            graph.add_edge(var, lhs, coef)
-    return graph
+    return FlowGraph([(var, lhs, coef) for lhs, terms in equations for coef, var in terms],
+                     defined)
 
 
 def _walks(adjacency: dict[str, dict[str, float]], ends: list[tuple[str, str, str]],
@@ -171,16 +159,15 @@ def _walks(adjacency: dict[str, dict[str, float]], ends: list[tuple[str, str, st
 def enumerate_loops(graph: FlowGraph) -> list[Loop]:
     """All simple directed cycles, each reported once, rotated to start at
     its smallest node, ordered lexicographically."""
-    adjacency = graph.adjacency()
-    return _walks(adjacency, [(n, n, n) for n in adjacency], Loop, "loops")
+    return _walks(graph._succ, [(n, n, n) for n in graph._succ], Loop, "loops")
 
 
 def enumerate_forward_paths(graph: FlowGraph, src: str, dst: str) -> list[Path]:
     """All simple paths src -> dst with gains, in lexicographic order."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    adjacency = graph.adjacency()
-    return _walks(adjacency, [(src, dst, "")] if src in adjacency else [], Path, "forward paths")
+    succ = graph._succ
+    return _walks(succ, [(src, dst, "")] if src in succ else [], Path, "forward paths")
 
 
 def _nontouching_expansion(loops: list[Loop]) -> tuple[float, float]:

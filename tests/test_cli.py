@@ -5,18 +5,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import feedback_lens
 from feedback_lens import cli
 from feedback_lens.cli import main
+from feedback_lens.netlist import serialize
 
 from support import random_resistor_mesh
+from test_netlist import circuits, node_names, positive_values
 
 IMPEDANCE = re.compile(r"([0-9.]+e[+-][0-9]+)")
 
@@ -266,6 +269,19 @@ def test_json_reports_round_trip(capsys, netlists_dir):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_crosscheck_json_has_no_non_finite_literals(capsys):
+    # both products overflow, so the errors are NaN; JSON has no literal for it
+    code, out, _ = run(capsys, "crosscheck", "--case", "2", "--set", "ro=1e308",
+                       "--set", "r1=1e308", "--format", "json")
+
+    def reject(literal):
+        raise ValueError(f"{literal} is not valid JSON")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["closed_form_error"] == "nan"
+    assert "nan" in payload["relative_errors"].values()
+
+
 def test_crosscheck_sweep_is_not_judged_against_the_typical_band(capsys):
     # the documented closed-form error holds at the typical point only;
     # at K=10 the closed form is 29% off
@@ -341,6 +357,30 @@ def test_readme_documents_exactly_the_cli_options():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
     assert options == set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+
+
+def test_readme_library_sketch_runs(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    (sketch,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    scope = {}
+    exec(sketch, scope)
+    assert scope["r"] == scope["report"].values["mna"]
+
+
+@settings(deadline=None)
+@given(circuit=circuits(positive_values), port=st.tuples(node_names, node_names))
+def test_every_subcommand_on_generated_netlists_exits_cleanly(circuit, port):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "generated.net")
+        Path(path).write_text(serialize(circuit))
+        for argv in (["validate", path], ["classify", path], ["loading", path],
+                     ["impedance", path, "--port", *port],
+                     ["impedance", path, "--port", *port, "--all-engines"]):
+            code, _, err = run_quiet(*argv)  # a traceback would propagate out of main
+            assert code in (0, 1, 2)
+            for line in err.splitlines():
+                assert line.startswith((f"{path}:", "error: ")), line
 
 
 def test_impedance_all_engines_on_renamed_fixture(capsys, netlists_dir, tmp_path):

@@ -1,6 +1,7 @@
 """sfg.elimination_gain, the node-elimination route, against enumeration
 (mason_gain), a direct solve and the nodal solver."""
 
+import contextlib
 from decimal import Decimal
 
 import numpy as np
@@ -39,6 +40,15 @@ def test_elimination_matches_enumeration(case):
     # a determinant near zero leaves both routes at the mercy of cancellation
     assume(abs(terms.determinant) >= 1e-2)
     assert agree(sfg.elimination_gain(graph, src, dst), terms.gain, 1e-9)
+
+
+@given(graphs())
+def test_elimination_leaves_the_graph_unchanged(case):
+    graph, src, dst = case
+    before = graph.edges, sfg.mason_terms(graph, src, dst)
+    with contextlib.suppress(sfg.ZeroDeterminant):
+        sfg.elimination_gain(graph, src, dst)
+    assert (graph.edges, sfg.mason_terms(graph, src, dst)) == before
 
 
 def test_elimination_matches_direct_solve_on_random_systems():

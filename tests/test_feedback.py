@@ -334,6 +334,13 @@ def test_input_side_outside_the_feedback_network_raises_unknown_node(netlists_di
         fb.loading_effect(network, fb.classify_topology(circuit), input_side, output_side)
 
 
+def test_output_side_outside_the_feedback_network_raises_unknown_node():
+    network = LinearCircuit.of([Resistor("RF", "a", "b", 1e3), Resistor("RG", "b", GROUND, 1e3)])
+    topo = fb.FeedbackTopology(Mixing.SERIES, Mixing.SERIES, Validity.VALID)
+    with pytest.raises(mna.UnknownNode, match="'absent'"):
+        fb.loading_effect(network, topo, ("a", GROUND), ("absent", GROUND))
+
+
 def test_loading_of_circuit_on_bridge_fixture(netlists_dir):
     circuit = parse_netlist_file(str(netlists_dir / "fig3d.net"))
     loading = fb.loading_of_circuit(circuit)
@@ -477,7 +484,7 @@ def test_open_loop_current_matches_nodal_transfer():
             Resistor("R1", "e", GROUND, TYPICAL.R1),
         ]
     )
-    i_per_volt = mna.transfer(lc, "Vin", ("e", GROUND)) / TYPICAL.R1
+    i_per_volt = mna.solve_circuit(lc).voltage("e") / TYPICAL.R1
     assert fb.branch_current_openloop(TYPICAL) == pytest.approx(i_per_volt, rel=1e-9)
 
 

@@ -267,6 +267,7 @@ def test_serialize_golden_covers_every_kind():
 
 
 values = st.floats(allow_nan=False, allow_infinity=False)
+positive_values = st.floats(min_value=1e-6, max_value=1e9)  # past validate's value checks
 node_names = st.sampled_from((GROUND, "a", "b", "n_1", "out", "x9"))
 
 
@@ -277,22 +278,27 @@ def _kind(cls, width, *fields):
     return st.builds(lambda ns, vs: cls("", *ns, *vs), nodes, st.tuples(*fields))
 
 
-KIND_STRATEGIES = {
-    "R": _kind(Resistor, 2, values),
-    "V": _kind(VSource, 2, values),
-    "I": _kind(ISource, 2, values),
-    "E": _kind(Vcvs, 4, values),
-    "G": _kind(Vccs, 4, values),
-    "Q": _kind(BjtPi, 3, values, values, values),
-    "X": _kind(OpAmp, 3, values, values, st.none() | values),
-}
+def _kinds(value):
+    """Strategy for each element kind, its values drawn from ``value``."""
+    return {
+        "R": _kind(Resistor, 2, value),
+        "V": _kind(VSource, 2, value),
+        "I": _kind(ISource, 2, value),
+        "E": _kind(Vcvs, 4, value),
+        "G": _kind(Vccs, 4, value),
+        "Q": _kind(BjtPi, 3, value, value, value),
+        "X": _kind(OpAmp, 3, value, value, st.none() | value),
+    }
 
 
 @st.composite
-def circuits(draw):
-    letters = draw(st.lists(st.sampled_from(sorted(KIND_STRATEGIES)), min_size=1, max_size=9))
+def circuits(draw, value=values):
+    """Circuits of every element kind with annotations; ``positive_values``
+    as ``value`` gives element values that pass ``validate``."""
+    kinds = _kinds(value)
+    letters = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=9))
     elements = [
-        replace(draw(KIND_STRATEGIES[letter]), name=f"{letter}{i}")
+        replace(draw(kinds[letter]), name=f"{letter}{i}")
         for i, letter in enumerate(letters)
     ]
     nodes = {GROUND}

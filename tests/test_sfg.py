@@ -60,6 +60,13 @@ def test_from_linear_system_pre_sums_parallel_terms():
     assert g.edges == (("x", "y", 5.0),)
 
 
+def test_from_linear_system_keeps_a_variable_defined_by_no_terms():
+    g = sfg.from_linear_system([("y", [(3.0, "x")]), ("z", [])])
+    assert g.nodes == ("x", "y", "z")
+    assert g.edges == (("x", "y", 3.0),)
+    assert g.adjacency() == {"x": {"y": 3.0}, "y": {}, "z": {}}
+
+
 def test_multiple_definitions_rejected():
     with pytest.raises(sfg.MultipleDefinitions):
         sfg.from_linear_system([("y", [(1.0, "x")]), ("y", [(2.0, "x")])])
