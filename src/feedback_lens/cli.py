@@ -34,13 +34,6 @@ FORMAT_ENV = "FEEDBACK_LENS_FORMAT"
 _PARAM_ALIASES = {f.name.lower().replace("_", ""): f.name for f in fields(AmplifierParams)}
 
 
-def _resolve_format(args) -> str:
-    if args.format:
-        return args.format
-    env = os.environ.get(FORMAT_ENV, "").strip().lower()
-    return env if env in ("table", "json") else "table"
-
-
 def _load_valid_circuit(path: str):
     circuit = parse_netlist_file(path)
     report = validate(circuit)
@@ -54,8 +47,7 @@ def _load_valid_circuit(path: str):
 def cmd_validate(args) -> int:
     circuit = parse_netlist_file(args.netlist)
     report = validate(circuit)
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "valid": report.ok,
             "violations": [
@@ -76,8 +68,7 @@ def cmd_validate(args) -> int:
 def cmd_classify(args) -> int:
     circuit = _load_valid_circuit(args.netlist)
     topo = classify_topology(circuit)
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "input_mix": topo.input_mix.value,
             "output_sense": topo.output_sense.value,
@@ -92,8 +83,7 @@ def cmd_classify(args) -> int:
 def cmd_loading(args) -> int:
     circuit = _load_valid_circuit(args.netlist)
     loading = loading_of_circuit(circuit)
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         payload = crosscheck.json_safe(
             {"R_if": loading.R_if, "R_of": loading.R_of, "f": loading.f}
         )
@@ -115,8 +105,7 @@ def cmd_impedance(args) -> int:
             case, params = matched
             values["closed_form"] = crosscheck.closed_rx(case, params)
             values["exact_formula"] = crosscheck.exact_rx(case, params)
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(crosscheck.json_safe(values), sort_keys=True, indent=2))
     elif args.all_engines:
         for engine in ("mna", "mason", "closed_form", "exact_formula"):
@@ -159,8 +148,7 @@ def cmd_crosscheck(args) -> int:
     else:
         reports = [crosscheck.run_case(args.case, params, config)]
 
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         # a sweep is a list even with one point; a plain run is one object
         payload = [crosscheck.report_to_dict(r) for r in reports]
         print(json.dumps(payload if args.sweep else payload[0], sort_keys=True, indent=2))
@@ -229,6 +217,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for domain rejection
         return 1 if exc.code else 0
+    env = os.environ.get(FORMAT_ENV, "").strip().lower()
+    args.format = args.format or (env if env in ("table", "json") else "table")
     netlist = getattr(args, "netlist", "<input>")
     try:
         return args.func(args)

@@ -225,10 +225,7 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
     """Rewrite A x = b * src as one causal equation per unknown and build the
     corresponding flow graph; the graph's gain src -> variable equals the
     solved sensitivity d(variable)/d(src), with src the node ``SYSTEM_SOURCE``."""
-    names = [None] * system.dimension
-    for name, i in system.index.items():
-        names[i] = name
-    rows, b = system.rows, system.rhs
+    names, rows, b = system.names, system.rows, system.rhs
     edges = []
     with localcontext(mna.DECIMAL):
         for var, i in enumerate(_diagonal_assignment([sorted(row) for row in rows])):
@@ -243,7 +240,7 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
 def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
     probed nodal system; independent second route to the nodal solve.  A
-    port node ``lc`` lacks raises ``mna.UnknownNode``."""
+    bad port raises as in ``mna.probed_system``."""
     system = mna.probed_system(lc, port)
     gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE,
                                 f"I({mna.TEST_SOURCE})")
@@ -294,7 +291,9 @@ def _params_echo(p: AmplifierParams) -> dict[str, float]:
 def run_case(
     case: int, p: AmplifierParams, config: CrossCheckConfig | None = None
 ) -> CrossCheckReport:
-    """Evaluate all four engines for one case and compare them pairwise."""
+    """Evaluate all four engines for one case and compare them pairwise.
+    A division by zero, or an engine value or closed-form error that is not
+    finite, raises ``ValueError``."""
     config = config or CrossCheckConfig()
     try:
         values = {engine: rx(case, p)
@@ -303,8 +302,14 @@ def run_case(
             values["exact_formula"]
         )
     except ZeroDivisionError as exc:
-        raise ValueError(f"case {case} at these parameters: {exc}; a product or "
-                         "quotient of them leaves the floating-point range") from exc
+        problem = str(exc)
+    else:
+        problem = ", ".join(f"{name} {value!r}" for name, value
+                            in (values | {"closed-form error": closed_error}).items()
+                            if not math.isfinite(value))
+    if problem:
+        raise ValueError(f"case {case} at these parameters: {problem}; a product or "
+                         "quotient of them leaves the floating-point range")
     errors = {}
     for i, first in enumerate(ENGINES):
         for second in ENGINES[i + 1:]:

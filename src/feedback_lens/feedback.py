@@ -31,7 +31,7 @@ from .netlist import (
     Vcvs,
     VSource,
 )
-from .smallsignal import LinearCircuit, linearize, restrict
+from .smallsignal import LinearCircuit, restrict
 
 
 class UnclassifiableTopology(Exception):
@@ -318,7 +318,7 @@ def loading_effect(
 def loading_of_circuit(circuit: Circuit) -> LoadingModel:
     """Classify, isolate the feedback network and measure its loading."""
     cls = _classify(circuit)
-    fb = restrict(linearize(circuit), circuit.annotations.feedback_elements)
+    fb = restrict(circuit, circuit.annotations.feedback_elements)
     return loading_effect(fb, cls.topology, cls.input_side, cls.output_side)
 
 

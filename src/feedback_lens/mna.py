@@ -50,13 +50,18 @@ class MnaSystem:
 
     rows: tuple[dict[int, Decimal], ...]
     rhs: tuple[Decimal, ...]
-    index: dict[str, int]
     nodes: tuple[str, ...]
     branches: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Name of each unknown: ``V(node)``, then ``I(branch)``."""
+        return (tuple(f"V({n})" for n in self.nodes)
+                + tuple(f"I({b})" for b in self.branches))
 
 
 @dataclass(frozen=True)
@@ -77,16 +82,18 @@ def assemble(lc: LinearCircuit) -> MnaSystem:
     """Stamp the standard MNA matrix for a linearized circuit."""
     nodes = tuple(sorted(lc.nodes - {GROUND}))
     branches = tuple(e.name for e in lc.elements if isinstance(e, (VSource, Vcvs)))
-    index = {f"V({n})": i for i, n in enumerate(nodes)}
-    index.update({f"I({name})": len(nodes) + i for i, name in enumerate(branches)})
-    dim = len(index)
+    dim = len(nodes) + len(branches)
     # Ground takes the spare index dim; its row and column are dropped below.
     row = {n: i for i, n in enumerate(nodes)} | {GROUND: dim}
+    branch_row = {name: len(nodes) + i for i, name in enumerate(branches)}
     a: list[dict[int, Decimal]] = [{} for _ in range(dim + 1)]
     b = [_ZERO] * (dim + 1)
 
     def couple(p: int, n: int, cp: int, cn: int, g: Decimal):
-        """Current g * (v[cp] - v[cn]) leaving row p and entering row n."""
+        """Current g * (v[cp] - v[cn]) leaving row p and entering row n; none
+        for p == n or cp == cn, whose stamps would cancel only to rounding."""
+        if p == n or cp == cn:
+            return
         for i, j, value in ((p, cp, g), (p, cn, -g), (n, cp, -g), (n, cn, g)):
             a[i][j] = a[i].get(j, _ZERO) + value
 
@@ -104,7 +111,7 @@ def assemble(lc: LinearCircuit) -> MnaSystem:
                 b[n] += Decimal(e.amps)
             elif isinstance(e, (VSource, Vcvs)):
                 # Branch current k flows n1 -> n2 through the source.
-                k = index[f"I({e.name})"]
+                k = branch_row[e.name]
                 couple(p, n, k, dim, one)
                 couple(k, dim, p, n, one)
                 if isinstance(e, VSource):
@@ -115,7 +122,7 @@ def assemble(lc: LinearCircuit) -> MnaSystem:
                 raise TypeError(f"cannot stamp element {e!r}")
 
     rows = tuple({j: v for j, v in r.items() if v and j != dim} for r in a[:dim])
-    return MnaSystem(rows, tuple(b[:dim]), index, nodes, branches)
+    return MnaSystem(rows, tuple(b[:dim]), nodes, branches)
 
 
 def _eliminate(system: MnaSystem):
@@ -130,7 +137,7 @@ def _eliminate(system: MnaSystem):
     b = list(system.rhs)
     scale = [max(map(abs, r.values()), default=_ZERO) for r in rows]
     if not all(scale):
-        name = next(n for n, i in system.index.items() if not scale[i])
+        name = system.names[scale.index(_ZERO)]
         raise SingularMatrix(f"zero row in system matrix for {name}")
     active, pivots = list(range(system.dimension)), []
     for k in range(system.dimension):
@@ -185,14 +192,17 @@ def probed_system(lc: LinearCircuit, port: tuple[str, str]) -> MnaSystem:
     across ``port``; the current that the port draws from it is
     ``-I(TEST_SOURCE)``, the system's last unknown, because the test source
     is the last element and branch currents follow the node voltages.  A
-    port node ``lc`` lacks raises ``UnknownNode``."""
+    port whose two nodes are the same raises ``ValueError``, and a port node
+    ``lc`` lacks raises ``UnknownNode``."""
+    if port[0] == port[1]:
+        raise ValueError(f"port nodes must differ, got {port[0]!r} twice")
     for node in port:
         if node not in lc.nodes:
             raise UnknownNode(f"unknown node {node!r}")
     elements = [replace(e, volts=0.0) if isinstance(e, VSource) else e
                 for e in lc.elements if not isinstance(e, ISource)]
     elements.append(VSource(TEST_SOURCE, port[0], port[1], 1.0))
-    return assemble(LinearCircuit.of(elements, lc.provenance))
+    return assemble(LinearCircuit.of(elements))
 
 
 def port_is_open(lc: LinearCircuit, port: tuple[str, str]) -> bool:
@@ -224,7 +234,7 @@ def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     ``_eliminate`` the pivot row of the last column holds no other entry,
     and the current is that row's right-hand side over its pivot: the value
     ``solve`` would give, without back substitution of the other unknowns.
-    A port node ``lc`` lacks raises ``UnknownNode``."""
+    A bad port raises as in ``probed_system``."""
     with localcontext(DECIMAL):
         _, b, pivots = _eliminate(probed_system(lc, port))
         row, pivot = pivots[-1]

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import attrgetter
 
 
@@ -234,18 +235,22 @@ class PortAnnotations:
     output_port: tuple[str, str] | None = None
     feedback_elements: frozenset[str] = frozenset()
 
-    def forward_elements(self, circuit: "Circuit") -> tuple[str, ...]:
-        return tuple(
-            e.name for e in circuit.elements if e.name not in self.feedback_elements
-        )
+
+def node_set(elements: Iterable) -> frozenset[str]:
+    """Ground plus every terminal of ``elements``; none for no elements."""
+    nodes = {t for e in elements for t in e.terminals}
+    return frozenset(nodes | {GROUND} if nodes else nodes)
 
 
 @dataclass(frozen=True)
 class Circuit:
     title: str
-    nodes: frozenset[str]
     elements: tuple[Element, ...]
     annotations: PortAnnotations = PortAnnotations()
+
+    @cached_property
+    def nodes(self) -> frozenset[str]:
+        return node_set(self.elements)
 
     def element(self, name: str) -> Element:
         for e in self.elements:
@@ -348,11 +353,8 @@ def parse_netlist(text: str) -> Circuit:
         seen[element.name] = lineno
         elements.append(element)
 
-    nodes = {GROUND} if elements else set()
-    for e in elements:
-        nodes.update(e.terminals)
     annotations = PortAnnotations(input_port, output_port, feedback)
-    return Circuit(title, frozenset(nodes), tuple(elements), annotations)
+    return Circuit(title, tuple(elements), annotations)
 
 
 def parse_netlist_file(path: str) -> Circuit:

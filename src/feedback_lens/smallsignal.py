@@ -5,25 +5,33 @@ transconductance source gm*v(base,emitter) pushing current from collector to
 emitter, and ro between collector and emitter (base series resistance
 neglected).  An op-amp becomes a controlled voltage source of gain K behind
 rout, driving the out terminal through a synthesized internal node named
-``<name>__thev`` so expansions are reproducible.
+``<name>__thev`` so expansions are reproducible, and rin, when given,
+across its inputs.
+
+``linearize`` expands every element of a parsed circuit and ``restrict``
+only the named ones, each macro in place.  A ``LinearCircuit`` holds its
+elements only; its node set derives from them by ``netlist.node_set``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .netlist import (
     GROUND,
     BjtPi,
     Circuit,
+    Element,
     ISource,
     OpAmp,
     Resistor,
     Vccs,
     Vcvs,
     VSource,
+    node_set,
 )
 
 Primitive = Resistor | VSource | ISource | Vcvs | Vccs
@@ -37,24 +45,18 @@ class InvalidMacroParams(Exception):
 
 @dataclass(frozen=True)
 class LinearCircuit:
-    nodes: frozenset[str]
     elements: tuple[Primitive, ...]
-    provenance: dict[str, str]  # primitive element name -> originating macro
 
     @classmethod
-    def of(
-        cls, elements: Iterable[Primitive], provenance: dict[str, str] | None = None
-    ) -> "LinearCircuit":
-        """Circuit whose nodes are ground plus every element terminal."""
-        elements = tuple(elements)
-        nodes = {GROUND}
-        for e in elements:
-            nodes.update(e.terminals)
-        return cls(frozenset(nodes), elements, dict(provenance or {}))
+    def of(cls, elements: Iterable[Primitive]) -> "LinearCircuit":
+        return cls(tuple(elements))
+
+    @cached_property
+    def nodes(self) -> frozenset[str]:
+        return node_set(self.elements)
 
     def with_elements(self, *extra: Primitive) -> "LinearCircuit":
-        """This circuit plus ``extra``, with the node set derived again."""
-        return LinearCircuit.of(self.elements + extra, self.provenance)
+        return LinearCircuit(self.elements + extra)
 
 
 def _require_positive(name: str, **values: float):
@@ -63,49 +65,35 @@ def _require_positive(name: str, **values: float):
             raise InvalidMacroParams(name, f"{label} must be positive and finite")
 
 
-def _expand_bjt(q: BjtPi) -> list[Primitive]:
-    _require_positive(q.name, gm=q.gm, rpi=q.rpi, ro=q.ro)
-    return [
-        Resistor(f"{q.name}__rpi", q.base, q.emitter, q.rpi),
-        Vccs(f"{q.name}__gm", q.collector, q.emitter, q.base, q.emitter, q.gm),
-        Resistor(f"{q.name}__ro", q.collector, q.emitter, q.ro),
-    ]
-
-
-def _expand_opamp(x: OpAmp) -> list[Primitive]:
-    _require_positive(x.name, K=x.gain, rout=x.rout)
-    internal = f"{x.name}__thev"
-    parts: list[Primitive] = [
-        Vcvs(f"{x.name}__gain", internal, GROUND, x.plus, x.minus, x.gain),
-        Resistor(f"{x.name}__rout", internal, x.out, x.rout),
-    ]
-    if x.rin is not None:
-        _require_positive(x.name, rin=x.rin)
-        parts.append(Resistor(f"{x.name}__rin", x.plus, x.minus, x.rin))
-    return parts
+def _expand(e: Element) -> list[Primitive]:
+    """The primitive model of ``e``; a primitive is its own."""
+    if isinstance(e, BjtPi):
+        _require_positive(e.name, gm=e.gm, rpi=e.rpi, ro=e.ro)
+        return [
+            Resistor(f"{e.name}__rpi", e.base, e.emitter, e.rpi),
+            Vccs(f"{e.name}__gm", e.collector, e.emitter, e.base, e.emitter, e.gm),
+            Resistor(f"{e.name}__ro", e.collector, e.emitter, e.ro),
+        ]
+    if isinstance(e, OpAmp):
+        _require_positive(e.name, K=e.gain, rout=e.rout)
+        internal = f"{e.name}__thev"
+        parts: list[Primitive] = [
+            Vcvs(f"{e.name}__gain", internal, GROUND, e.plus, e.minus, e.gain),
+            Resistor(f"{e.name}__rout", internal, e.out, e.rout),
+        ]
+        if e.rin is not None:
+            _require_positive(e.name, rin=e.rin)
+            parts.append(Resistor(f"{e.name}__rin", e.plus, e.minus, e.rin))
+        return parts
+    return [e]
 
 
 def linearize(circuit: Circuit) -> LinearCircuit:
     """Replace every macro with its primitive model; primitives pass through."""
-    elements: list[Primitive] = []
-    provenance: dict[str, str] = {}
-    for e in circuit.elements:
-        if isinstance(e, BjtPi):
-            expansion = _expand_bjt(e)
-        elif isinstance(e, OpAmp):
-            expansion = _expand_opamp(e)
-        else:
-            elements.append(e)
-            continue
-        for part in expansion:
-            provenance[part.name] = e.name
-        elements.extend(expansion)
-    return LinearCircuit.of(elements, provenance)
+    return LinearCircuit.of(p for e in circuit.elements for p in _expand(e))
 
 
-def restrict(lc: LinearCircuit, names: frozenset[str] | set[str]) -> LinearCircuit:
-    """Sub-circuit containing only the named elements (macro names allowed,
-    selecting everything they expanded to)."""
-    keep = [e for e in lc.elements if e.name in names or lc.provenance.get(e.name) in names]
-    provenance = {e.name: lc.provenance[e.name] for e in keep if e.name in lc.provenance}
-    return LinearCircuit.of(keep, provenance)
+def restrict(circuit: Circuit, names: Collection[str]) -> LinearCircuit:
+    """``linearize`` of the named elements of ``circuit`` alone."""
+    return LinearCircuit.of(p for e in circuit.elements if e.name in names
+                            for p in _expand(e))

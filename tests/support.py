@@ -1,14 +1,17 @@
 """Shared generators and independent oracles for the test suite.
 
-The impedance oracle here deliberately avoids the package's stamping and
-elimination code: it builds a plain node-conductance matrix for
-resistor-only networks and inverts it with numpy, giving a second route for
-every driving-point check.  ``reference_elimination_gain`` keeps the plain
-form of ``sfg.elimination_gain``, which ranks every remaining node afresh at
-each step, so the incremental one can be held equal to it.
+The impedance oracle here deliberately avoids the package's stamping,
+macro expansion and elimination code: it stamps the macro-level circuit
+straight into an exact ``Fraction`` node-conductance matrix, with no
+branch-current unknown, giving a second route for every driving-point
+check.  ``reference_elimination_gain`` keeps the plain form of
+``sfg.elimination_gain``, which ranks every remaining node afresh at each
+step, so the incremental one can be held equal to it.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -42,29 +45,63 @@ def random_resistor_mesh(rng: np.random.Generator, n_nodes: int = 5,
     return LinearCircuit.of(elements)
 
 
-def conductance_impedance_oracle(lc: LinearCircuit, port: tuple[str, str]) -> float:
-    """Driving-point impedance of a resistor-only network by direct
-    inversion of the node conductance matrix."""
-    nodes = sorted(lc.nodes - {GROUND})
+def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
+    """Driving-point impedance of ``port`` by an exact ``Fraction`` nodal
+    solve of the macro-level circuit: one KCL row per non-ground node and no
+    branch-current unknown.  A VCCS is stamped directly, a BJT as its
+    hybrid-pi trio, and an op-amp as its Norton source K/rout into its
+    output with rout to ground and rin across its inputs.  A singular node
+    matrix raises ``ZeroDivisionError``."""
+    nodes = sorted(circuit.nodes - {GROUND})
     index = {n: i for i, n in enumerate(nodes)}
-    y = np.zeros((len(nodes), len(nodes)))
-    for e in lc.elements:
-        assert isinstance(e, Resistor)
-        g = 1.0 / e.ohms
-        if e.n1 != GROUND:
-            y[index[e.n1], index[e.n1]] += g
-        if e.n2 != GROUND:
-            y[index[e.n2], index[e.n2]] += g
-        if e.n1 != GROUND and e.n2 != GROUND:
-            y[index[e.n1], index[e.n2]] -= g
-            y[index[e.n2], index[e.n1]] -= g
-    z = np.linalg.inv(y)
-    pick = np.zeros(len(nodes))
-    if port[0] != GROUND:
-        pick[index[port[0]]] += 1.0
-    if port[1] != GROUND:
-        pick[index[port[1]]] -= 1.0
-    return float(pick @ z @ pick)
+    y = [[Fraction(0)] * len(nodes) for _ in nodes]
+
+    def stamp(a, b, cp, cn, g):
+        """Current g * v(cp, cn) leaving node a and entering node b."""
+        for row, out in ((a, g), (b, -g)):
+            for col, value in ((cp, out), (cn, -out)):
+                if GROUND not in (row, col):
+                    y[index[row]][index[col]] += value
+
+    def resistor(a, b, ohms):
+        stamp(a, b, a, b, 1 / Fraction(ohms))
+
+    for e in circuit.elements:
+        if isinstance(e, Resistor):
+            resistor(e.n1, e.n2, e.ohms)
+        elif isinstance(e, Vccs):
+            stamp(e.n1, e.n2, e.cp, e.cn, Fraction(e.gm))
+        elif isinstance(e, BjtPi):
+            resistor(e.base, e.emitter, e.rpi)
+            stamp(e.collector, e.emitter, e.base, e.emitter, Fraction(e.gm))
+            resistor(e.collector, e.emitter, e.ro)
+        elif isinstance(e, OpAmp):
+            stamp(GROUND, e.out, e.plus, e.minus, Fraction(e.gain) / Fraction(e.rout))
+            resistor(e.out, GROUND, e.rout)
+            if e.rin is not None:
+                resistor(e.plus, e.minus, e.rin)
+        else:
+            raise TypeError(f"the oracle has no model of {e!r}")
+    # a unit current into port[0] and out of port[1]
+    current = [Fraction(0)] * len(nodes)
+    for node, amps in zip(port, (1, -1)):
+        if node != GROUND:
+            current[index[node]] += amps
+    # Gauss-Jordan elimination on [y | current], exact
+    n = len(nodes)
+    rows = [row + [i] for row, i in zip(y, current)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise ZeroDivisionError("singular node matrix")
+        rows[k], rows[p] = rows[p], rows[k]
+        for i, r in enumerate(rows):
+            if i != k and r[k]:
+                factor = r[k] / rows[k][k]
+                for j in range(k, n + 1):
+                    r[j] -= factor * rows[k][j]
+    volts = {node: rows[i][-1] / rows[i][i] for node, i in index.items()} | {GROUND: 0}
+    return float(volts[port[0]] - volts[port[1]])
 
 
 def draw_params(rng: np.random.Generator, **fixed) -> AmplifierParams:
@@ -143,8 +180,8 @@ def resistor_meshes(draw, names: list[str]) -> list[Resistor]:
 @st.composite
 def active_meshes(draw, max_nodes: int = 8):
     """A ``resistor_meshes`` mesh on ground and n1..nN carrying a VCCS, a BJT
-    and an op-amp macro between random nodes, linearized, with a port of two
-    distinct nodes."""
+    and an op-amp macro between random nodes: the circuit, its linearization
+    and a port of two distinct nodes."""
     names = [GROUND] + [f"n{i}" for i in range(1, draw(st.integers(2, max_nodes)) + 1)]
     node = st.sampled_from(names)
     ohms = decades(1, 7)
@@ -153,11 +190,12 @@ def active_meshes(draw, max_nodes: int = 8):
         Vccs("G1", draw(node), draw(node), draw(node), draw(node), draw(decades(-4, 0))),
         BjtPi("Q1", draw(node), draw(node), draw(node), draw(decades(-4, 0)),
               draw(ohms), draw(ohms)),
-        OpAmp("X1", draw(node), draw(node), draw(node), draw(decades(1, 5)), draw(ohms)),
+        OpAmp("X1", draw(node), draw(node), draw(node), draw(decades(1, 5)), draw(ohms),
+              draw(st.none() | ohms)),
     ]
-    circuit = Circuit("mesh", frozenset(names), tuple(elements))
+    circuit = Circuit("mesh", tuple(elements))
     port = tuple(draw(st.permutations(names))[:2])
-    return linearize(circuit), port
+    return circuit, linearize(circuit), port
 
 
 def reference_elimination_gain(graph: sfg.FlowGraph, src: str, dst: str) -> float:

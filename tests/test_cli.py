@@ -270,16 +270,14 @@ def test_json_reports_round_trip(capsys, netlists_dir):
 
 
 def test_crosscheck_json_has_no_non_finite_literals(capsys):
-    # both products overflow, so the errors are NaN; JSON has no literal for it
-    code, out, _ = run(capsys, "crosscheck", "--case", "2", "--set", "ro=1e308",
-                       "--set", "r1=1e308", "--format", "json")
+    # R2 and R_in default to infinity; JSON has no literal for it
+    code, out, _ = run(capsys, "crosscheck", "--case", "2", "--format", "json")
 
     def reject(literal):
         raise ValueError(f"{literal} is not valid JSON")
 
     payload = json.loads(out, parse_constant=reject)
-    assert payload["closed_form_error"] == "nan"
-    assert "nan" in payload["relative_errors"].values()
+    assert payload["parameters"]["R2"] == payload["parameters"]["R_in"] == "inf"
 
 
 def test_crosscheck_sweep_is_not_judged_against_the_typical_band(capsys):
@@ -303,6 +301,7 @@ def test_crosscheck_case2_zero_gain_is_a_typed_error(capsys):
     ("2", ["ro=1e-320", "gm=1e-20"]),  # g_m * r_o underflows in the flow graph
     ("2", ["rpi=5e-324", "gm=1e-9"]),  # beta underflows to 0
     ("1", ["rpi=5e-324", "gm=1e-9"]),
+    ("2", ["ro=1e308", "r1=1e308"]),  # inf / inf in the exact formula is NaN
 ])
 def test_crosscheck_parameters_out_of_float_range_are_typed_errors(capsys, case, sets):
     argv = ["crosscheck", "--case", case]
@@ -311,6 +310,13 @@ def test_crosscheck_parameters_out_of_float_range_are_typed_errors(capsys, case,
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engines", [[], ["--all-engines"]])
+def test_impedance_port_with_equal_nodes_is_a_typed_error(capsys, netlists_dir, engines):
+    code, out, err = run(capsys, "impedance", str(netlists_dir / "fig7.net"),
+                         "--port", "c", "c", *engines)
+    assert (code, out, err) == (1, "", "error: port nodes must differ, got 'c' twice\n")
 
 
 def test_impedance_on_a_case_circuit_whose_beta_underflows(capsys, netlists_dir, tmp_path):
@@ -344,9 +350,10 @@ def test_crosscheck_on_extreme_parameters_exits_cleanly(case, sets):
     argv = ["crosscheck", "--case", case]
     for name, value in sets:
         argv += ["--set", f"{name}={value}"]
-    code, _, err = run_quiet(*argv)  # a traceback would propagate out of main
+    code, out, err = run_quiet(*argv)  # a traceback would propagate out of main
     assert code in (0, 1, 2)
     assert err.count("\n") == (code == 1)
+    assert "nan" not in out and "inf" not in out
 
 
 def test_readme_documents_exactly_the_cli_options():

@@ -153,12 +153,9 @@ def test_reports_are_deterministic_bytes():
 def test_flow_graph_of_system_reproduces_sensitivities(netlists_dir):
     from feedback_lens import sfg
     from feedback_lens.netlist import VSource
-    from feedback_lens.smallsignal import LinearCircuit
 
     lc = linearize(parse_netlist_file(str(netlists_dir / "fig7.net")))
-    driven = LinearCircuit(
-        lc.nodes, lc.elements + (VSource("Vs", "c", GROUND, 1.0),), {}
-    )
+    driven = lc.with_elements(VSource("Vs", "c", GROUND, 1.0))
     system = mna.assemble(driven)
     graph = cc.flow_graph_of_system(system)
     gain = sfg.mason_gain(graph, "src", "V(e)")
