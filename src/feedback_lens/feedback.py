@@ -316,10 +316,13 @@ def loading_effect(
 
 
 def loading_of_circuit(circuit: Circuit) -> LoadingModel:
-    """Classify, isolate the feedback network and measure its loading."""
+    """Classify, isolate the feedback network and measure its loading on
+    its equivalent at the port nodes and ground (``mna.reduce_onto``, the
+    star-mesh transform): the paper's two-port step reads only that view."""
     cls = _classify(circuit)
     fb = restrict(circuit, circuit.annotations.feedback_elements)
-    return loading_effect(fb, cls.topology, cls.input_side, cls.output_side)
+    reduced = mna.reduce_onto(fb, {GROUND, *cls.input_side, *cls.output_side})
+    return loading_effect(reduced, cls.topology, cls.input_side, cls.output_side)
 
 
 # --------------------------------------------------------------------------

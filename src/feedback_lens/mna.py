@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
+from heapq import heappop, heappush
+from itertools import combinations
 
 from .netlist import GROUND, ISource, Resistor, Vccs, Vcvs, VSource, reachable
 from .smallsignal import LinearCircuit
@@ -240,3 +242,41 @@ def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
         row, pivot = pivots[-1]
         delivered = -float(b[row] / pivot)
     return impedance_from_current(delivered, lc, port)
+
+
+def reduce_onto(lc: LinearCircuit, keep: set[str]) -> LinearCircuit:
+    """The purely resistive ``lc`` seen at its nodes in ``keep``: one
+    resistor per joined pair of them.  Each other node goes, fewest
+    neighbours first, by the star-mesh transform (Kron reduction: Gaussian
+    elimination of the conductance matrix), giving each pair a, b of its
+    neighbours g_a * g_b / sum(g), in ``DECIMAL``.  A node left with no
+    neighbour stays, as a self-looped resistor of infinite ohms: a kept one
+    reads open, and a floating island leaves a nodal solve ``SingularMatrix``
+    as in ``lc``.  Any other element raises ``ValueError``."""
+    adjacent: dict[str, dict[str, Decimal]] = {n: {} for n in lc.nodes}
+    with localcontext(DECIMAL):
+        for e in lc.elements:
+            if not isinstance(e, Resistor):
+                raise ValueError(f"cannot reduce {e.name}: the network must be purely resistive")
+            if e.n1 != e.n2:
+                g = adjacent[e.n1].get(e.n2, _ZERO) + 1 / Decimal(e.ohms)
+                adjacent[e.n1][e.n2] = adjacent[e.n2][e.n1] = g
+        heap = sorted((len(nbrs), v) for v, nbrs in adjacent.items() if v not in keep)
+        while heap:
+            degree, v = heappop(heap)
+            if not degree or len(adjacent.get(v, ())) != degree:
+                continue  # stranded, removed, or a stale entry
+            nbrs = adjacent.pop(v)
+            total = sum(nbrs.values())
+            for a in nbrs:
+                del adjacent[a][v]
+            for a, b in combinations(nbrs, 2):
+                g = adjacent[a].get(b, _ZERO) + nbrs[a] * nbrs[b] / total
+                adjacent[a][b] = adjacent[b][a] = g
+            for a in nbrs:
+                if a not in keep:
+                    heappush(heap, (len(adjacent[a]), a))
+        elements = [Resistor(f"{a}~{b}", a, b, float(1 / g))
+                    for a, nbrs in sorted(adjacent.items()) for b, g in nbrs.items() if a < b]
+    elements += (Resistor(f"{a}~", a, a, math.inf) for a, nbrs in adjacent.items() if not nbrs)
+    return LinearCircuit.of(elements)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import attrgetter
 
 
@@ -232,10 +233,11 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
     may change its self-loop; ZeroDeterminant is raised once every
     remaining node has a zero 1 - L.
 
-    Each node's rank is kept and recomputed only for the predecessors and
-    successors of the node just eliminated: a splice changes the edges of
-    those nodes alone, so every other rank, and hence the pivot order, is
-    the same as when all remaining nodes are ranked afresh at every step.
+    Each node's rank is kept, in a heap that skips superseded entries, and
+    recomputed only for the predecessors and successors of the node just
+    eliminated: a splice changes the edges of those nodes alone, so every
+    other rank, and hence the pivot order, is the same as when all
+    remaining nodes are ranked afresh at every step.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -259,11 +261,14 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
         return (len(pred[v]) - looped) * (len(outs) - looped), -abs(1.0 - loop), v
 
     ranks = {v: rank(v) for v in set(succ) - {source, sink}}
+    heap = sorted(filter(None, ranks.values()))  # a sorted list is a heap
     while ranks:
-        best = min(filter(None, ranks.values()), default=None)
-        if best is None:
+        if not heap:
             raise ZeroDeterminant("every remaining node has a zero 1 - L")
+        best = heappop(heap)
         v = best[2]
+        if ranks.get(v) != best:
+            continue  # stale: v is gone or was ranked again
         del ranks[v]
         absorb = 1.0 / (1.0 - succ[v].pop(v, 0.0))
         pred[v].pop(v, None)
@@ -278,4 +283,6 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
                 succ[u][w] = pred[w][u] = gain
         for w in (ins.keys() | outs.keys()) & ranks.keys():
             ranks[w] = rank(w)
+            if ranks[w]:
+                heappush(heap, ranks[w])
     return succ[source].get(sink, 0.0)

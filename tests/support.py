@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from feedback_lens import sfg
 from feedback_lens.feedback import AmplifierParams
-from feedback_lens.netlist import GROUND, BjtPi, Circuit, OpAmp, Resistor, Vccs
+from feedback_lens.netlist import GROUND, BjtPi, Circuit, OpAmp, PortAnnotations, Resistor, Vccs
 from feedback_lens.smallsignal import LinearCircuit, linearize
 
 
@@ -196,6 +196,67 @@ def active_meshes(draw, max_nodes: int = 8):
     circuit = Circuit("mesh", tuple(elements))
     port = tuple(draw(st.permutations(names))[:2])
     return circuit, linearize(circuit), port
+
+
+# The fig3 amplifiers of netlists/fig3a-d.net: their forward elements, from
+# each transistor's (g_m, r_pi, r_o) and the collector loads, the nodes their
+# feedback network attaches to, and the input and output ports.
+FIG3 = {
+    "fig3a": (lambda q, r: [BjtPi("Q1", "b", "c", GROUND, *q[0]),
+                            Resistor("RC", "c", GROUND, r[0])],
+              ("c", "b"), ("b", GROUND), ("c", GROUND)),
+    "fig3b": (lambda q, r: [BjtPi("Q1", "b", "c", "e", *q[0]),
+                            Resistor("RC", "c", GROUND, r[0])],
+              ("c", "e", GROUND), ("b", GROUND), ("c", GROUND)),
+    "fig3c": (lambda q, r: [BjtPi("Q1", "b", "c", "e", *q[0]),
+                            Resistor("RC", "c", GROUND, r[0])],
+              ("e", GROUND), ("b", GROUND), ("c", GROUND)),
+    "fig3d": (lambda q, r: [BjtPi("Q1", "b1", "c1", GROUND, *q[0]),
+                            BjtPi("Q2", "c1", "c2", "e2", *q[1]),
+                            Resistor("RC1", "c1", GROUND, r[0]),
+                            Resistor("RC2", "c2", GROUND, r[1])],
+              ("b1", "e2", GROUND), ("b1", GROUND), ("c2", GROUND)),
+}
+
+
+def fig3_amplifier(kind: str, devices, loads, feedback: list[Resistor]) -> Circuit:
+    """The fig3 amplifier ``kind`` with ``feedback`` as its annotated
+    feedback network."""
+    forward, _, input_port, output_port = FIG3[kind]
+    annotations = PortAnnotations(input_port, output_port, frozenset(e.name for e in feedback))
+    return Circuit(kind, tuple(forward(devices, loads)) + tuple(feedback), annotations)
+
+
+# (g_m, r_pi, r_o) over draw_params' ranges
+devices = st.builds(lambda g_m, beta, r_o: (g_m, beta / g_m, r_o),
+                    decades(-4, 0), st.floats(20, 500), decades(1, 7))
+
+
+@st.composite
+def feedback_amplifiers(draw, islands: bool = False) -> Circuit:
+    """A fig3 amplifier whose feedback network is random resistors over
+    [10, 1e7] ohms on its attachment nodes, ground among them in a drawn
+    half, and up to four inner nodes.  Each inner node hangs from an
+    earlier node, each attachment node gets a resistor, and up to three
+    chords follow, so the network may have dangling branches, a port node
+    joined to no other, and no ground; ``validate`` accepts it.  With
+    ``islands`` it may also hold inner nodes joined to no attachment node,
+    which ``validate`` rejects."""
+    kind = draw(st.sampled_from(sorted(FIG3)))
+    attach = [n for n in FIG3[kind][1] if n != GROUND or draw(st.booleans())]
+    nodes = attach + [f"m{i}" for i in range(draw(st.integers(len(attach) == 1, 4)))]
+    pairs = [(m, draw(st.sampled_from(nodes[:i]))) for i, m in enumerate(nodes)
+             if i >= len(attach)]
+    pairs += [(a, draw(st.sampled_from([n for n in nodes if n != a]))) for a in attach
+              if not any(a in pair for pair in pairs)]
+    node = st.sampled_from(nodes)
+    pairs += [(a, b) for a, b in draw(st.lists(st.tuples(node, node), max_size=3)) if a != b]
+    if islands:
+        island = [f"j{i}" for i in range(draw(st.sampled_from((0, 2, 3))))]
+        pairs += [(j, draw(st.sampled_from(island[:i]))) for i, j in enumerate(island) if i]
+    feedback = [Resistor(f"RF{i}", a, b, draw(decades(1, 7))) for i, (a, b) in enumerate(pairs)]
+    return fig3_amplifier(kind, draw(st.tuples(devices, devices)),
+                          draw(st.tuples(decades(1, 7), decades(1, 7))), feedback)
 
 
 def reference_elimination_gain(graph: sfg.FlowGraph, src: str, dst: str) -> float:

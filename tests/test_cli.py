@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import feedback_lens
-from feedback_lens import cli
+from feedback_lens import cli, crosscheck, feedback
 from feedback_lens.cli import main
 from feedback_lens.netlist import serialize
 
-from support import random_resistor_mesh
+from support import feedback_amplifiers, random_resistor_mesh
 from test_netlist import circuits, node_names, positive_values
 
 IMPEDANCE = re.compile(r"([0-9.]+e[+-][0-9]+)")
@@ -388,6 +388,34 @@ def test_every_subcommand_on_generated_netlists_exits_cleanly(circuit, port):
             assert code in (0, 1, 2)
             for line in err.splitlines():
                 assert line.startswith((f"{path}:", "error: ")), line
+
+
+@settings(deadline=None)
+@given(circuit=feedback_amplifiers())
+def test_classify_and_loading_on_generated_feedback_amplifiers(circuit):
+    # each call prints the library's values as JSON, or fails with one line
+    def classify(c):
+        topo = feedback.classify_topology(c)
+        return {"input_mix": topo.input_mix.value, "output_sense": topo.output_sense.value,
+                "validity": topo.validity.value}
+
+    def loading(c):
+        model = feedback.loading_of_circuit(c)
+        return crosscheck.json_safe({"R_if": model.R_if, "R_of": model.R_of, "f": model.f})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "amplifier.net")
+        Path(path).write_text(serialize(circuit))
+        for command, library in (("classify", classify), ("loading", loading)):
+            code, out, err = run_quiet(command, path, "--format", "json")
+            if code == 0:
+                assert err == ""
+                assert json.loads(out) == library(circuit)
+            else:
+                assert code == 1 and out == ""
+                with pytest.raises(Exception) as raised:
+                    library(circuit)
+                assert err == f"error: {raised.value}\n"
 
 
 def test_impedance_all_engines_on_renamed_fixture(capsys, netlists_dir, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from feedback_lens import crosscheck, feedback as fb, mna
 from feedback_lens.feedback import AmplifierParams, Mixing, Validity
@@ -21,7 +21,7 @@ from feedback_lens.netlist import (
     parse_netlist_file,
 )
 from feedback_lens.smallsignal import LinearCircuit, linearize, restrict
-from support import draw_params, resistor_meshes
+from support import draw_params, feedback_amplifiers, fig3_amplifier, resistor_meshes
 
 TYPICAL = AmplifierParams.typical()
 
@@ -338,6 +338,76 @@ def test_output_side_outside_the_feedback_network_raises_unknown_node():
     topo = fb.FeedbackTopology(Mixing.SERIES, Mixing.SERIES, Validity.VALID)
     with pytest.raises(mna.UnknownNode, match="'absent'"):
         fb.loading_effect(network, topo, ("a", GROUND), ("absent", GROUND))
+
+
+@settings(deadline=None)
+@given(circuit=feedback_amplifiers(islands=True))
+def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
+    # the reduced network must give the whole network's values and errors
+    topo = fb.classify_topology(circuit)
+    input_side, output_side = fb.feedback_ports(circuit)
+    whole = restrict(circuit, circuit.annotations.feedback_elements)
+
+    def outcome(measure, *args):
+        try:
+            return measure(*args)
+        except (mna.SingularMatrix, mna.UnknownNode) as exc:
+            return type(exc)
+
+    got = outcome(fb.loading_of_circuit, circuit)
+    expected = outcome(fb.loading_effect, whole, topo, input_side, output_side)
+    if isinstance(expected, type) or isinstance(got, type):
+        assert got == expected
+        return
+    assert got.R_if == pytest.approx(expected.R_if, rel=1e-12, abs=0.0)
+    assert got.R_of == pytest.approx(expected.R_of, rel=1e-12, abs=0.0)
+    # f is in ohms, siemens or a ratio: the port resistance to the power
+    # (series sensing) - (shunt mixing).  An exactly zero transfer reads 0
+    # on the reduced network and rounding residue on the whole one.
+    finite = [r for r in (expected.R_if, expected.R_of) if math.isfinite(r)]
+    port_scale = math.prod(finite) ** (1 / len(finite)) if finite else 1.0
+    power = (topo.output_sense is Mixing.SERIES) - (topo.input_mix is Mixing.SHUNT)
+    f_scale = port_scale ** power
+    if max(abs(got.f), abs(expected.f)) >= 1e-15 * f_scale:
+        assert got.f == pytest.approx(expected.f, rel=1e-12, abs=0.0)
+
+
+def test_loading_with_both_ports_returned_to_a_node_outside_the_network():
+    # r is in neither feedback element; each probe's short of the other
+    # (shunt) port brings it in, so the loading has a value
+    circuit = parse_netlist("Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRF c b 47k\nRG b 0 10k\n"
+                            "RC c r 4.7k\nRR r 0 1k\n.input b r\n.output c r\n.feedback RF RG")
+    input_side, output_side = fb.feedback_ports(circuit)
+    assert (input_side, output_side) == (("b", "r"), ("c", "r"))
+    whole = restrict(circuit, circuit.annotations.feedback_elements)
+    assert fb.loading_of_circuit(circuit) == fb.loading_effect(
+        whole, fb.classify_topology(circuit), input_side, output_side)
+
+
+def test_loading_solves_only_systems_of_the_reduced_network(monkeypatch):
+    # an 80-node resistive mesh as fig3a's feedback network: every nodal
+    # system loading assembles is a probe of its three-node equivalent
+    rng = np.random.default_rng(80)
+    nodes = ["c", "b"] + [f"f{i}" for i in range(1, 79)]
+    pairs = [(a, nodes[int(rng.integers(0, i))]) for i, a in enumerate(nodes) if i]
+    pairs += [tuple(map(str, rng.choice(nodes, 2, replace=False))) for _ in range(4)]
+    feedback = [Resistor(f"RF{i}", a, b, float(10 ** rng.uniform(1, 7)))
+                for i, (a, b) in enumerate(pairs)]
+    device = (TYPICAL.g_m, TYPICAL.r_pi, TYPICAL.r_o)
+    circuit = fig3_amplifier("fig3a", (device, device), (4.7e3, 4.7e3), feedback)
+    assert len(circuit.nodes - {GROUND}) == 80
+    dimensions = []
+    assemble = mna.assemble
+
+    def counted(lc):
+        system = assemble(lc)
+        dimensions.append(system.dimension)
+        return system
+
+    monkeypatch.setattr(mna, "assemble", counted)
+    loading = fb.loading_of_circuit(circuit)
+    assert all(map(math.isfinite, (loading.R_if, loading.R_of, loading.f)))
+    assert dimensions and max(dimensions) <= 7
 
 
 def test_loading_of_circuit_on_bridge_fixture(netlists_dir):

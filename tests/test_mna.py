@@ -401,3 +401,91 @@ def test_residual_is_tight():
     rhs = np.array(system.rhs, dtype=float)
     residual = np.max(np.abs(matrix @ x - rhs))
     assert residual <= 1e-9 * np.max(np.abs(rhs))
+
+
+# --------------------------------------------------------------------------
+# Reduction onto kept nodes (star-mesh transform)
+# --------------------------------------------------------------------------
+
+def network(*branches):
+    return LinearCircuit.of(Resistor(f"R{i}", a, b, ohms)
+                            for i, (a, b, ohms) in enumerate(branches))
+
+
+def equivalents(lc):
+    """Ohms of each resistor of ``lc`` by its node pair; a self-looped one
+    holding a node with no conductance reads under that node alone."""
+    return {frozenset((e.n1, e.n2)): e.ohms for e in lc.elements}
+
+
+def test_reduce_series_chain():
+    reduced = mna.reduce_onto(network(("a", "m1", 1e3), ("m1", "m2", 2e3), ("m2", "b", 4e3)),
+                              {"a", "b"})
+    assert reduced.nodes == {GROUND, "a", "b"}
+    assert equivalents(reduced) == {frozenset("ab"): pytest.approx(7e3, rel=1e-15),
+                                    frozenset(GROUND): math.inf}
+
+
+def test_reduce_parallel_paths():
+    # 3k directly, 1k + 2k through m and 2k + 4k through n: 3k || 3k || 6k
+    reduced = mna.reduce_onto(network(("a", "b", 3e3), ("a", "m", 1e3), ("m", "b", 2e3),
+                                      ("a", "n", 2e3), ("n", "b", 4e3)), {"a", "b"})
+    assert equivalents(reduced)[frozenset("ab")] == pytest.approx(1.2e3, rel=1e-15)
+
+
+def test_reduce_star_to_delta():
+    ra, rb, rc = 1e3, 2.2e3, 4.7e4
+    reduced = mna.reduce_onto(network(("a", "n", ra), ("b", "n", rb), ("c", "n", rc)),
+                              {"a", "b", "c"})
+    total = ra * rb + rb * rc + rc * ra
+    assert equivalents(reduced) == {
+        frozenset(GROUND): math.inf,  # ground, which no resistor touches, stays
+        frozenset("ab"): pytest.approx(total / rc, rel=1e-15),
+        frozenset("bc"): pytest.approx(total / ra, rel=1e-15),
+        frozenset("ac"): pytest.approx(total / rb, rel=1e-15),
+    }
+
+
+def test_reduce_drops_a_dangling_leaf_at_no_cost():
+    reduced = mna.reduce_onto(network(("a", GROUND, 5e3), ("a", "m1", 1e3), ("m1", "m2", 1e3)),
+                              {"a", GROUND})
+    assert reduced.nodes == {GROUND, "a"}
+    assert equivalents(reduced) == {frozenset(("a", GROUND)): 5e3}
+
+
+def test_reduce_keeps_an_isolated_kept_node_open():
+    # c reaches only the interior node m: it stays a node with no conductance
+    whole = network(("a", GROUND, 1e3), ("c", "m", 1e3))
+    reduced = mna.reduce_onto(whole, {"a", "c", GROUND})
+    assert reduced.nodes == {GROUND, "a", "c"}
+    assert equivalents(reduced) == {frozenset(("a", GROUND)): 1e3, frozenset("c"): math.inf}
+    for lc in (whole, reduced):
+        assert mna.driving_point_impedance(lc, ("c", GROUND)) == math.inf
+        with pytest.raises(mna.SingularMatrix):  # c floats once the probe leaves it
+            mna.driving_point_impedance(lc, ("a", GROUND))
+
+
+def test_reduce_leaves_a_floating_island_singular():
+    whole = network(("a", GROUND, 1e3), ("m1", "m2", 1e3), ("m2", "m3", 1e3))
+    reduced = mna.reduce_onto(whole, {"a", GROUND})
+    assert len(reduced.nodes) == 3  # a, ground and the island's last node
+    for lc in (whole, reduced):
+        with pytest.raises(mna.SingularMatrix):
+            mna.driving_point_impedance(lc, ("a", GROUND))
+
+
+def test_reduce_rejects_a_non_resistive_network():
+    with pytest.raises(ValueError, match="purely resistive"):
+        mna.reduce_onto(LinearCircuit.of([Resistor("R1", "a", GROUND, 1e3),
+                                          VSource("V1", "a", GROUND, 1.0)]), {"a", GROUND})
+
+
+def test_reduce_preserves_the_driving_point_of_random_meshes():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        mesh = random_resistor_mesh(rng, n_nodes=12)
+        reduced = mna.reduce_onto(mesh, {GROUND, "n1", "n2"})
+        assert reduced.nodes == {GROUND, "n1", "n2"}
+        for port in (("n1", GROUND), ("n2", "n1")):
+            assert mna.driving_point_impedance(reduced, port) == pytest.approx(
+                mna.driving_point_impedance(mesh, port), rel=1e-14)
