@@ -9,12 +9,10 @@ engine evaluating the transmission-gain rule.
 
 from .feedback import (
     AmplifierParams,
-    FeedbackAnalysis,
     FeedbackTopology,
     LoadingModel,
     Mixing,
     Validity,
-    analyze_case,
     classify_topology,
     loading_of_circuit,
 )
@@ -24,13 +22,11 @@ from .smallsignal import LinearCircuit, linearize
 __all__ = [
     "AmplifierParams",
     "Circuit",
-    "FeedbackAnalysis",
     "FeedbackTopology",
     "LinearCircuit",
     "LoadingModel",
     "Mixing",
     "Validity",
-    "analyze_case",
     "classify_topology",
     "linearize",
     "loading_of_circuit",

@@ -140,10 +140,10 @@ def cmd_crosscheck(args) -> int:
 
     if args.sweep:
         axis, _, raw = args.sweep.partition("=")
-        if not raw:
+        grid = [parse_value(v) for v in raw.split(",") if v]
+        if not grid:
             raise ValueError("--sweep expects axis=v1,v2,...")
         field = _PARAM_ALIASES.get(axis.lower(), axis)
-        grid = [parse_value(v) for v in raw.split(",") if v]
         reports = crosscheck.sweep(args.case, params, field, grid, config)
     else:
         reports = [crosscheck.run_case(args.case, params, config)]

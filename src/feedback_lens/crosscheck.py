@@ -31,7 +31,6 @@ from .feedback import (
     closed_form_rx_case2,
     exact_rx_case1,
     exact_rx_case2,
-    require_case,
 )
 from .netlist import GROUND, Resistor, Vccs, Vcvs
 from .smallsignal import LinearCircuit
@@ -157,6 +156,11 @@ def case1_flow_graph(p: AmplifierParams) -> sfg.FlowGraph:
 
 def case2_flow_graph(p: AmplifierParams) -> sfg.FlowGraph:
     return sfg.from_linear_system(case2_equations(p))
+
+
+def require_case(case: int):
+    if case not in (1, 2):
+        raise ValueError("case must be 1 or 2")
 
 
 def mason_rx(case: int, p: AmplifierParams) -> float:

@@ -67,19 +67,17 @@ class LoadingModel:
     f: float
 
 
-# Dominance ratio a >> b is taken to mean a >= ratio * b.
-DOMINANCE_RATIO = 100.0
-
-
 @dataclass(frozen=True)
 class AmplifierParams:
     """Operating-point parameters of the output stage and its driver.
 
     K and r_out describe the driving op-amp (gain and output resistance),
-    R1 the current-sense resistor, R2 the load on the output node, g_m /
-    r_pi / r_o the transistor small-signal model (beta = g_m * r_pi), R_E
-    and R_S optional degeneration and source resistances, R_in the op-amp
-    differential input resistance (infinite when absent).
+    R1 the current-sense resistor, g_m / r_pi / r_o the transistor
+    small-signal model (beta = g_m * r_pi), R_in the op-amp differential
+    input resistance (infinite when absent).  R2, the load on the output
+    node, sets R_out = R_X || R2 only, so no R_X engine reads it.  R_E and
+    R_S are accepted and echoed but read by no engine; they are kept only
+    because the benchmark workloads draw them.
     """
 
     K: float
@@ -117,7 +115,9 @@ class AmplifierParams:
     def R_sense(self) -> float:
         """R1 in parallel with R_in: in both case circuits the op-amp input
         sits across R1, between the sense node and ground."""
-        return output_resistance(self.R1, self.R_in)
+        if math.isinf(self.R_in):
+            return self.R1
+        return self.R1 * self.R_in / (self.R1 + self.R_in)
 
     @classmethod
     def typical(cls, **overrides) -> "AmplifierParams":
@@ -126,16 +126,6 @@ class AmplifierParams:
         base = dict(K=1000.0, r_out=500e3, R1=1e3, g_m=0.04, r_pi=2.5e3, r_o=100e3)
         base.update(overrides)
         return cls(**base)
-
-
-@dataclass(frozen=True)
-class FeedbackAnalysis:
-    topology: FeedbackTopology
-    loading: LoadingModel
-    one_plus_af: float
-    R_bf: float
-    R_X: float
-    R_out: float
 
 
 # --------------------------------------------------------------------------
@@ -326,56 +316,9 @@ def loading_of_circuit(circuit: Circuit) -> LoadingModel:
 
 
 # --------------------------------------------------------------------------
-# Closed forms (evaluated exactly as printed)
+# R_X of the two cases: closed forms (evaluated exactly as printed) and
+# exact formulas
 # --------------------------------------------------------------------------
-
-def branch_current_openloop(p: AmplifierParams) -> float:
-    """Open-loop output-branch current per volt of input, case 1."""
-    return p.K / (p.R1 + (p.r_out + p.r_pi) / (p.beta + 1.0))
-
-
-def one_plus_af_case1(p: AmplifierParams) -> float:
-    branch = (p.r_out + p.r_pi) / (p.beta + 1.0)
-    return (p.R1 * (p.K + 1.0) + branch) / (p.R1 + branch)
-
-
-def one_plus_af_case2(p: AmplifierParams) -> float:
-    return 1.0 + p.K * p.R1 / (p.R2 + (p.r_out + p.r_pi) / p.beta)
-
-
-def require_case(case: int):
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
-
-
-def branch_resistance_feedback(p: AmplifierParams, case: int) -> float:
-    """Output-branch resistance boosted by the loop gain (R_bf)."""
-    require_case(case)
-    if case == 1:
-        return (p.R1 + (p.r_out + p.r_pi) / (p.beta + 1.0)) * one_plus_af_case1(p)
-    return (p.R2 + (p.r_out + p.r_pi) / p.beta) * one_plus_af_case2(p)
-
-
-def rx_from_branch_case2(p: AmplifierParams) -> float:
-    """R_X recovered as R_bf - R2 (case 2); requires a finite R2."""
-    if math.isinf(p.R2):
-        raise ValueError("R2 must be finite to subtract it from R_bf")
-    return branch_resistance_feedback(p, 2) - p.R2
-
-
-def degeneration_rx(r_o: float, g_m: float, beta: float, R_E: float, R_S: float) -> float:
-    """Output resistance of a degenerated stage seen at the collector."""
-    num = 1.0 + g_m * R_E + g_m * R_S / beta
-    den = 1.0 + g_m * R_E / beta + g_m * R_S / beta
-    return r_o * num / den
-
-
-def rx_case1_via_degeneration(p: AmplifierParams) -> float:
-    """Case-1 R_X with the boosted branch substituted for the emitter
-    degeneration; kept distinct because the printed closed form below is
-    not algebraically equal to this substitution."""
-    return degeneration_rx(p.r_o, p.g_m, p.beta, branch_resistance_feedback(p, 1), p.r_out)
-
 
 def closed_form_rx_case1(p: AmplifierParams) -> float:
     """Approximate case-1 R_X (collector output, emitter-sensed)."""
@@ -383,21 +326,6 @@ def closed_form_rx_case1(p: AmplifierParams) -> float:
     num = core + 2.0 * p.r_out + 2.0 * p.r_pi
     den = (core + p.r_out * (p.beta + 1.0) + p.r_pi * (p.beta + 1.0)) / p.beta
     return p.r_o * num / den
-
-
-def simplified_rx_case1(p: AmplifierParams) -> float:
-    """Further simplification of the case-1 closed form; meaningful only
-    when simplification_holds_case1 is true."""
-    t = p.R1 * p.g_m * (p.K + 1.0)
-    return p.r_o * (1.0 + t) / (1.0 + t / p.beta)
-
-
-def simplification_holds_case1(p: AmplifierParams, ratio: float = DOMINANCE_RATIO) -> bool:
-    """Validity predicate of the simplified case-1 form:
-    R1 (beta+1)(K+1) must dominate r_out (beta+1) + r_pi."""
-    return p.R1 * (p.beta + 1.0) * (p.K + 1.0) >= ratio * (
-        p.r_out * (p.beta + 1.0) + p.r_pi
-    )
 
 
 def exact_rx_case1(p: AmplifierParams) -> float:
@@ -417,31 +345,3 @@ def exact_rx_case2(p: AmplifierParams) -> float:
     s = p.r_out + p.r_pi
     r1 = p.R_sense
     return (p.r_o * r1 * p.K * p.beta + p.r_o * s + r1 * s) / (p.r_o * p.beta + s)
-
-
-def output_resistance(R_X: float, R2: float) -> float:
-    """Overall output resistance R_X parallel R2; infinities allowed."""
-    if math.isinf(R_X):
-        return R2
-    if math.isinf(R2):
-        return R_X
-    return R_X * R2 / (R_X + R2)
-
-
-def analyze_case(p: AmplifierParams, case: int) -> FeedbackAnalysis:
-    """Closed-loop summary of one output-series case: both cases are
-    series-series, loaded by the single sense resistor R1."""
-    require_case(case)
-    topo = FeedbackTopology(Mixing.SERIES, Mixing.SERIES, Validity.VALID)
-    loading = LoadingModel(R_if=p.R1, R_of=p.R1, f=p.R1)
-    one_plus_af = one_plus_af_case1(p) if case == 1 else one_plus_af_case2(p)
-    r_bf = branch_resistance_feedback(p, case) if case == 1 or math.isfinite(p.R2) else math.inf
-    r_x = exact_rx_case1(p) if case == 1 else exact_rx_case2(p)
-    return FeedbackAnalysis(
-        topology=topo,
-        loading=loading,
-        one_plus_af=one_plus_af,
-        R_bf=r_bf,
-        R_X=r_x,
-        R_out=output_resistance(r_x, p.R2),
-    )

@@ -233,6 +233,14 @@ def test_crosscheck_one_point_sweep_is_a_list(capsys):
     assert payload[0]["parameters"]["K"] == 10.0
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("sweep", ["K=,", "K=,,"])
+def test_crosscheck_sweep_with_no_value_is_a_typed_error(capsys, sweep, fmt):
+    code, out, err = run(capsys, "crosscheck", "--case", "1", "--sweep", sweep,
+                         "--format", fmt)
+    assert (code, out, err) == (1, "", "error: --sweep expects axis=v1,v2,...\n")
+
+
 @pytest.mark.parametrize("case", ["1", "2"])
 def test_crosscheck_finite_input_resistance_passes(capsys, case):
     code, out, _ = run(

@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +209,28 @@ def test_exact_engines_agree_with_finite_input_resistance(case, p, r_in):
     values = [cc.exact_rx(case, p), cc.mason_rx(case, p), cc.mna_rx(case, p)]
     for value in values[1:]:
         assert cc.relative_error(value, values[0]) <= 1e-6, (case, p)
+
+
+# Fields each case circuit reads, and fields it must not: R2 sets R_out =
+# R_X || R2 only, and R_E and R_S are read by no engine.
+MOVES_RX = ("K", "r_out", "R1", "g_m", "r_pi", "r_o", "R_in")
+LEAVES_RX = ("R2", "R_E", "R_S")
+
+
+@given(amplifier_params, st.sampled_from((1, 2)), decades(1, 7))
+def test_each_field_moves_all_three_exact_engines_or_none(p, case, ohms):
+    assert {f.name for f in fields(AmplifierParams)} == {*MOVES_RX, *LEAVES_RX}
+
+    def rx(q):
+        return [cc.exact_rx(case, q), cc.mason_rx(case, q), cc.mna_rx(case, q)]
+
+    base = rx(p)
+    for field in MOVES_RX:
+        value = ohms if field == "R_in" else 2 * getattr(p, field)
+        moved = rx(replace(p, **{field: value}))
+        assert all(a != b for a, b in zip(moved, base)), (field, moved, base)
+    for field in LEAVES_RX:
+        assert rx(replace(p, **{field: ohms})) == base, field
 
 
 def test_case2_flow_graph_rejects_zero_gain():

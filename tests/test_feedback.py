@@ -429,36 +429,6 @@ def test_feedback_ports_inference(netlists_dir):
 # Closed forms (frozen against hand arithmetic on the printed expressions)
 # --------------------------------------------------------------------------
 
-def test_one_plus_af_case1():
-    assert fb.one_plus_af_case1(TYPICAL) == pytest.approx(203207.0 / 1207.0, rel=1e-12)
-    assert fb.one_plus_af_case1(replace(TYPICAL, K=0.0)) == pytest.approx(1.0, rel=1e-15)
-    big_r1 = fb.one_plus_af_case1(replace(TYPICAL, R1=1e12))
-    assert big_r1 == pytest.approx(TYPICAL.K + 1.0, rel=1e-4)
-
-
-def test_branch_current_openloop():
-    assert fb.branch_current_openloop(TYPICAL) == pytest.approx(202.0 / 1207.0, rel=1e-12)
-    assert fb.branch_current_openloop(replace(TYPICAL, K=0.0)) == 0.0
-
-
-def test_branch_resistance_feedback_case1():
-    assert fb.branch_resistance_feedback(TYPICAL, 1) == pytest.approx(
-        1005975.2475247525, rel=1e-12
-    )
-    k0 = fb.branch_resistance_feedback(replace(TYPICAL, K=0.0), 1)
-    assert k0 == pytest.approx(1e3 + 502.5e3 / 101.0, rel=1e-12)
-
-
-def test_branch_resistance_feedback_case2_r2_cancels():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        p = replace(TYPICAL, R2=float(10 ** rng.uniform(1, 6)))
-        r_x = fb.rx_from_branch_case2(p)
-        assert r_x == pytest.approx(fb.closed_form_rx_case2(p), rel=1e-9)
-    with pytest.raises(ValueError):
-        fb.rx_from_branch_case2(TYPICAL)  # R2 defaults to infinity
-
-
 def test_closed_form_rx_case1():
     assert fb.closed_form_rx_case1(TYPICAL) == pytest.approx(6723980.678746291, rel=1e-12)
     # with no driver gain and a vanishing sense resistor the boost collapses
@@ -494,32 +464,6 @@ def test_exact_rx_case2():
     assert fb.exact_rx_case2(low) == pytest.approx(expected, rel=1e-6)
 
 
-def test_degeneration_rx():
-    assert fb.degeneration_rx(1e5, 0.04, 100.0, 0.0, 0.0) == 1e5
-    boost = fb.degeneration_rx(1e5, 0.04, 100.0, 1e15, 0.0)
-    assert boost == pytest.approx(1e5 * 100.0, rel=1e-9)
-    assert fb.degeneration_rx(1e5, 0.04, 100.0, 1e3, 0.0) == pytest.approx(
-        2928571.4285714286, rel=1e-12
-    )
-
-
-def test_degeneration_substitution_differs_from_printed_closed_form():
-    # the printed case-1 closed form is not the degeneration substitution;
-    # both exist, and at the typical point they differ by ~0.3%
-    via = fb.rx_case1_via_degeneration(TYPICAL)
-    assert via == pytest.approx(6702160.0, rel=1e-4)
-    assert via != pytest.approx(fb.closed_form_rx_case1(TYPICAL), rel=1e-3)
-
-
-def test_output_resistance():
-    assert fb.output_resistance(2e3, 2e3) == pytest.approx(1e3, rel=1e-15)
-    assert fb.output_resistance(math.inf, 4.7e3) == 4.7e3
-    assert fb.output_resistance(4.7e3, math.inf) == 4.7e3
-    assert fb.output_resistance(1.005e6, 1e4) == pytest.approx(
-        9901.477832512315, rel=1e-12
-    )
-
-
 def test_exact_rx_case2_monotone_in_gain_and_sense_resistor():
     for axis in ("K", "R1"):
         grid = [10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0]
@@ -542,30 +486,21 @@ def test_exact_formulas_match_nodal_models_on_random_draws():
         assert fb.exact_rx_case2(p) == pytest.approx(crosscheck.mna_rx(2, p), rel=1e-9)
 
 
-def test_open_loop_current_matches_nodal_transfer():
-    lc = LinearCircuit.of(
-        [
-            VSource("Vin", "vin", GROUND, 1.0),
-            Vcvs("Eop", "t", GROUND, "vin", GROUND, TYPICAL.K),
-            Resistor("Rout", "t", "b", TYPICAL.r_out),
-            Resistor("Rpi", "b", "e", TYPICAL.r_pi),
-            Vccs("Gm", GROUND, "e", "b", "e", TYPICAL.g_m),
-            Resistor("R1", "e", GROUND, TYPICAL.R1),
-        ]
-    )
-    i_per_volt = mna.solve_circuit(lc).voltage("e") / TYPICAL.R1
-    assert fb.branch_current_openloop(TYPICAL) == pytest.approx(i_per_volt, rel=1e-9)
-
-
 def test_simplified_form_inside_its_validity_region():
-    # All three dominance conditions of the derivation at ratio >= 500 and
-    # beta >= 250 hold the simplification within 1% of the nodal value; the
-    # single printed predicate at ratio 100 does not bound it (see ledger).
+    # Where R1 (beta+1)(K+1) >> r_out (beta+1) + r_pi the loop gain is
+    # large: the printed case-1 closed form tends to r_o beta and the nodal
+    # value to r_o (beta+1) + (r_out + r_pi)/(K+1).  beta >= 250 bounds the
+    # first gap by 0.4%, and r_o (beta+1)(K+1) >> r_out + r_pi the second.
+    # The derivation's third condition, r_pi >> r_out, is kept with them.
+    # Each ">>" is a ratio of at least 500.  The first condition alone
+    # bounds nothing: the closed form is then up to 98% off.
     rng = np.random.default_rng(5)
     kept = 0
     while kept < 40:
         p = draw_params(rng)
-        if p.beta < 250 or not fb.simplification_holds_case1(p, ratio=500):
+        if p.beta < 250:
+            continue
+        if p.R1 * (p.beta + 1) * (p.K + 1) < 500 * (p.r_out * (p.beta + 1) + p.r_pi):
             continue
         if p.r_pi < 500 * p.r_out:
             continue
@@ -573,16 +508,4 @@ def test_simplified_form_inside_its_validity_region():
             continue
         kept += 1
         exact = crosscheck.mna_rx(1, p)
-        assert abs(fb.simplified_rx_case1(p) - exact) / exact < 0.01
         assert abs(fb.closed_form_rx_case1(p) - exact) / exact < 0.01
-    assert not fb.simplification_holds_case1(TYPICAL)  # typical ratio is ~2
-
-
-def test_analyze_case_summary():
-    analysis = fb.analyze_case(replace(TYPICAL, R2=10e3), 2)
-    assert analysis.topology.label == "series-series"
-    assert analysis.R_X == pytest.approx(fb.exact_rx_case2(TYPICAL), rel=1e-12)
-    assert analysis.R_out == pytest.approx(
-        fb.output_resistance(analysis.R_X, 10e3), rel=1e-12
-    )
-    assert analysis.loading.f == TYPICAL.R1
