@@ -17,13 +17,12 @@ from .feedback import (
     loading_of_circuit,
 )
 from .netlist import Circuit, parse_netlist, parse_netlist_file, serialize, validate
-from .smallsignal import LinearCircuit, linearize
+from .smallsignal import linearize
 
 __all__ = [
     "AmplifierParams",
     "Circuit",
     "FeedbackTopology",
-    "LinearCircuit",
     "LoadingModel",
     "Mixing",
     "Validity",

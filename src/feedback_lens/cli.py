@@ -25,7 +25,7 @@ from .feedback import (
     classify_topology,
     loading_of_circuit,
 )
-from .netlist import NetlistError, parse_netlist_file, parse_value, validate
+from .netlist import NetlistError, NetlistSyntaxError, parse_netlist_file, parse_value, validate
 from .smallsignal import InvalidMacroParams, linearize
 
 FORMAT_ENV = "FEEDBACK_LENS_FORMAT"
@@ -116,6 +116,15 @@ def cmd_impedance(args) -> int:
     return 0
 
 
+def _option_value(option: str, text: str, raw: str) -> float:
+    """``raw``, a value in ``option text``; a bad one is a ``ValueError``
+    naming both, not a netlist error."""
+    try:
+        return parse_value(raw)
+    except NetlistSyntaxError as exc:
+        raise ValueError(f"{option} {text}: {exc}") from None
+
+
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     overrides = {}
     valid = {f.name for f in fields(AmplifierParams)}
@@ -126,7 +135,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
         field = _PARAM_ALIASES.get(key.lower(), key)
         if field not in valid:
             raise ValueError(f"unknown parameter {key!r}")
-        overrides[field] = parse_value(raw)
+        overrides[field] = _option_value("--set", pair, raw)
     return overrides
 
 
@@ -140,7 +149,7 @@ def cmd_crosscheck(args) -> int:
 
     if args.sweep:
         axis, _, raw = args.sweep.partition("=")
-        grid = [parse_value(v) for v in raw.split(",") if v]
+        grid = [_option_value("--sweep", args.sweep, v) for v in raw.split(",") if v]
         if not grid:
             raise ValueError("--sweep expects axis=v1,v2,...")
         field = _PARAM_ALIASES.get(axis.lower(), axis)
@@ -219,13 +228,12 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     env = os.environ.get(FORMAT_ENV, "").strip().lower()
     args.format = args.format or (env if env in ("table", "json") else "table")
-    netlist = getattr(args, "netlist", "<input>")
     try:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except NetlistError as exc:
-        print(exc.format(netlist), file=sys.stderr)
+        print(exc.format(args.netlist), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

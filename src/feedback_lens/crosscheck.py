@@ -18,7 +18,6 @@ Mason engine runs end to end on every call.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
@@ -32,8 +31,7 @@ from .feedback import (
     exact_rx_case1,
     exact_rx_case2,
 )
-from .netlist import GROUND, Resistor, Vccs, Vcvs
-from .smallsignal import LinearCircuit
+from .netlist import GROUND, Circuit, Resistor, Vccs, Vcvs
 
 CASE1_PORT = ("c", GROUND)
 CASE2_PORT = ("e", GROUND)
@@ -43,7 +41,7 @@ CASE2_PORT = ("e", GROUND)
 CLOSED_FORM_ERROR_BANDS = {1: (0.005, 0.0005), 2: (0.0501, 0.001)}
 
 
-def build_case1_circuit(p: AmplifierParams) -> LinearCircuit:
+def build_case1_circuit(p: AmplifierParams) -> Circuit:
     """Collector-output measurement circuit: op-amp (gain K behind r_out)
     drives the base, R1 senses the emitter current, op-amp inverting input
     rides on the emitter (v_diff = -v_e)."""
@@ -57,10 +55,10 @@ def build_case1_circuit(p: AmplifierParams) -> LinearCircuit:
     ]
     if math.isfinite(p.R_in):
         elements.append(Resistor("rin", "e", GROUND, p.R_in))
-    return LinearCircuit.of(elements)
+    return Circuit(tuple(elements))
 
 
-def build_case2_circuit(p: AmplifierParams) -> LinearCircuit:
+def build_case2_circuit(p: AmplifierParams) -> Circuit:
     """Emitter-output measurement circuit: R1 senses the collector current
     and feeds the op-amp non-inverting input (v_diff = v_c).  The base
     current returns through a driven rail held at the emitter potential, so
@@ -76,11 +74,11 @@ def build_case2_circuit(p: AmplifierParams) -> LinearCircuit:
     ]
     if math.isfinite(p.R_in):
         elements.append(Resistor("rin", "c", GROUND, p.R_in))
-    return LinearCircuit.of(elements)
+    return Circuit(tuple(elements))
 
 
 def recognize_case(
-    lc: LinearCircuit, port: tuple[str, str]
+    lc: Circuit, port: tuple[str, str]
 ) -> tuple[int, AmplifierParams] | None:
     """``(case, p)`` when ``build_case<case>_circuit(p)`` is ``lc`` up to
     element and node names and ``port`` is that case's port, else None.
@@ -241,7 +239,7 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
     return sfg.FlowGraph(edges, names)
 
 
-def mason_driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
+def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
     probed nodal system; independent second route to the nodal solve.  A
     bad port raises as in ``mna.probed_system``."""
@@ -368,10 +366,6 @@ def report_to_dict(report: CrossCheckReport) -> dict:
         **json_safe({"closed_form_error": report.closed_form_error}),
         "verdict": report.verdict,
     }
-
-
-def report_json(report: CrossCheckReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
 
 def report_table(report: CrossCheckReport) -> str:

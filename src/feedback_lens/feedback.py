@@ -31,7 +31,7 @@ from .netlist import (
     Vcvs,
     VSource,
 )
-from .smallsignal import LinearCircuit, restrict
+from .smallsignal import restrict
 
 
 class UnclassifiableTopology(Exception):
@@ -258,7 +258,7 @@ def feedback_ports(circuit: Circuit) -> tuple[tuple[str, str], tuple[str, str]]:
 # --------------------------------------------------------------------------
 
 def loading_effect(
-    fb: LinearCircuit,
+    fb: Circuit,
     topo: FeedbackTopology,
     input_port: tuple[str, str],
     output_port: tuple[str, str],

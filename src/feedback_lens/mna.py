@@ -22,8 +22,7 @@ from decimal import Context, Decimal, localcontext
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .netlist import GROUND, ISource, Resistor, Vccs, Vcvs, VSource, reachable
-from .smallsignal import LinearCircuit
+from .netlist import GROUND, Circuit, ISource, Primitive, Resistor, Vccs, Vcvs, VSource, reachable
 
 
 class SingularMatrix(Exception):
@@ -80,8 +79,9 @@ class Solution:
         return self.voltage(port[0]) - self.voltage(port[1])
 
 
-def assemble(lc: LinearCircuit) -> MnaSystem:
-    """Stamp the standard MNA matrix for a linearized circuit."""
+def assemble(lc: Circuit) -> MnaSystem:
+    """Stamp the standard MNA matrix for a circuit of primitives; any other
+    element raises ``TypeError``."""
     nodes = tuple(sorted(lc.nodes - {GROUND}))
     branches = tuple(e.name for e in lc.elements if isinstance(e, (VSource, Vcvs)))
     dim = len(nodes) + len(branches)
@@ -102,6 +102,8 @@ def assemble(lc: LinearCircuit) -> MnaSystem:
     with localcontext(DECIMAL):
         one = Decimal(1)
         for e in lc.elements:
+            if not isinstance(e, Primitive):
+                raise TypeError(f"cannot stamp element {e!r}")
             p, n = row[e.n1], row[e.n2]
             if isinstance(e, Resistor):
                 couple(p, n, p, n, one / Decimal(e.ohms))
@@ -111,8 +113,8 @@ def assemble(lc: LinearCircuit) -> MnaSystem:
                 # e.amps flows n1 -> n2 through the source.
                 b[p] -= Decimal(e.amps)
                 b[n] += Decimal(e.amps)
-            elif isinstance(e, (VSource, Vcvs)):
-                # Branch current k flows n1 -> n2 through the source.
+            else:
+                # A VSource or Vcvs: branch current k flows n1 -> n2 through it.
                 k = branch_row[e.name]
                 couple(p, n, k, dim, one)
                 couple(k, dim, p, n, one)
@@ -120,8 +122,6 @@ def assemble(lc: LinearCircuit) -> MnaSystem:
                     b[k] = Decimal(e.volts)
                 else:
                     couple(k, dim, row[e.cp], row[e.cn], -Decimal(e.gain))
-            else:
-                raise TypeError(f"cannot stamp element {e!r}")
 
     rows = tuple({j: v for j, v in r.items() if v and j != dim} for r in a[:dim])
     return MnaSystem(rows, tuple(b[:dim]), nodes, branches)
@@ -180,15 +180,11 @@ def solve(system: MnaSystem) -> Solution:
     return Solution(dict(zip(system.nodes, values[:n])), dict(zip(system.branches, values[n:])))
 
 
-def solve_circuit(lc: LinearCircuit) -> Solution:
-    return solve(assemble(lc))
-
-
 # Branch of the unit test voltage that probed_system attaches across a port.
 TEST_SOURCE = "__dpi_test"
 
 
-def probed_system(lc: LinearCircuit, port: tuple[str, str]) -> MnaSystem:
+def probed_system(lc: Circuit, port: tuple[str, str]) -> MnaSystem:
     """System of ``lc`` with its independent sources zeroed (voltage sources
     shorted, current sources opened) and a unit test voltage ``TEST_SOURCE``
     across ``port``; the current that the port draws from it is
@@ -204,10 +200,10 @@ def probed_system(lc: LinearCircuit, port: tuple[str, str]) -> MnaSystem:
     elements = [replace(e, volts=0.0) if isinstance(e, VSource) else e
                 for e in lc.elements if not isinstance(e, ISource)]
     elements.append(VSource(TEST_SOURCE, port[0], port[1], 1.0))
-    return assemble(LinearCircuit.of(elements))
+    return assemble(Circuit(tuple(elements)))
 
 
-def port_is_open(lc: LinearCircuit, port: tuple[str, str]) -> bool:
+def port_is_open(lc: Circuit, port: tuple[str, str]) -> bool:
     """True when no current path joins the two port nodes once independent
     sources are zeroed: they lie in different connected components of the
     graph whose edges are resistors, VCCS outputs and voltage sources."""
@@ -215,7 +211,7 @@ def port_is_open(lc: LinearCircuit, port: tuple[str, str]) -> bool:
     return port[1] not in reachable(port[0], paths)
 
 
-def impedance_from_current(delivered: float, lc: LinearCircuit,
+def impedance_from_current(delivered: float, lc: Circuit,
                            port: tuple[str, str]) -> float:
     """Impedance of ``port`` of ``lc`` from the current a unit test voltage
     delivers into it.  A port that ``port_is_open``, or that draws exactly no
@@ -228,7 +224,7 @@ def impedance_from_current(delivered: float, lc: LinearCircuit,
     return 1.0 / delivered
 
 
-def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
+def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """Impedance seen into ``port`` with all independent sources zeroed.
 
     Only the current of the test source is needed, and ``probed_system``
@@ -244,15 +240,17 @@ def driving_point_impedance(lc: LinearCircuit, port: tuple[str, str]) -> float:
     return impedance_from_current(delivered, lc, port)
 
 
-def reduce_onto(lc: LinearCircuit, keep: set[str]) -> LinearCircuit:
+def reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
     """The purely resistive ``lc`` seen at its nodes in ``keep``: one
     resistor per joined pair of them.  Each other node goes, fewest
     neighbours first, by the star-mesh transform (Kron reduction: Gaussian
     elimination of the conductance matrix), giving each pair a, b of its
-    neighbours g_a * g_b / sum(g), in ``DECIMAL``.  A node left with no
-    neighbour stays, as a self-looped resistor of infinite ohms: a kept one
-    reads open, and a floating island leaves a nodal solve ``SingularMatrix``
-    as in ``lc``.  Any other element raises ``ValueError``."""
+    neighbours g_a * g_b / sum(g), in ``DECIMAL``.  Each resistor keeps its
+    ohms as that ``Decimal``, so nothing is rounded to float before a nodal
+    solve.  A node left with no neighbour stays, as a self-looped resistor
+    of infinite ohms: a kept one reads open, and a floating island leaves a
+    nodal solve ``SingularMatrix`` as in ``lc``.  Any other element raises
+    ``ValueError``."""
     adjacent: dict[str, dict[str, Decimal]] = {n: {} for n in lc.nodes}
     with localcontext(DECIMAL):
         for e in lc.elements:
@@ -276,7 +274,7 @@ def reduce_onto(lc: LinearCircuit, keep: set[str]) -> LinearCircuit:
             for a in nbrs:
                 if a not in keep:
                     heappush(heap, (len(adjacent[a]), a))
-        elements = [Resistor(f"{a}~{b}", a, b, float(1 / g))
+        elements = [Resistor(f"{a}~{b}", a, b, 1 / g)
                     for a, nbrs in sorted(adjacent.items()) for b, g in nbrs.items() if a < b]
     elements += (Resistor(f"{a}~", a, a, math.inf) for a, nbrs in adjacent.items() if not nbrs)
-    return LinearCircuit.of(elements)
+    return Circuit(tuple(elements))

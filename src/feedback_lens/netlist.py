@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from functools import cached_property
 from operator import attrgetter
 
@@ -91,10 +92,13 @@ def format_value(value: float) -> str:
 
 @dataclass(frozen=True)
 class Resistor:
+    """``ohms`` is a float, or a ``Decimal`` in a network ``mna.reduce_onto``
+    builds."""
+
     name: str
     n1: str
     n2: str
-    ohms: float
+    ohms: float | Decimal
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,8 @@ class OpAmp:
     rin: float | None = None
 
 
-Element = Resistor | VSource | ISource | Vcvs | Vccs | BjtPi | OpAmp
+Primitive = Resistor | VSource | ISource | Vcvs | Vccs
+Element = Primitive | BjtPi | OpAmp
 
 
 @dataclass(frozen=True)
@@ -236,21 +241,23 @@ class PortAnnotations:
     feedback_elements: frozenset[str] = frozenset()
 
 
-def node_set(elements: Iterable) -> frozenset[str]:
-    """Ground plus every terminal of ``elements``; none for no elements."""
-    nodes = {t for e in elements for t in e.terminals}
-    return frozenset(nodes | {GROUND} if nodes else nodes)
-
-
 @dataclass(frozen=True)
 class Circuit:
-    title: str
+    """A parsed netlist, or with no title or annotations the primitives
+    that ``smallsignal.linearize`` or ``restrict`` expand one into."""
+
     elements: tuple[Element, ...]
+    title: str = ""
     annotations: PortAnnotations = PortAnnotations()
 
     @cached_property
     def nodes(self) -> frozenset[str]:
-        return node_set(self.elements)
+        """Ground plus every terminal of the elements; none for no elements."""
+        nodes = {t for e in self.elements for t in e.terminals}
+        return frozenset(nodes | {GROUND} if nodes else nodes)
+
+    def with_elements(self, *extra: Element) -> "Circuit":
+        return replace(self, elements=self.elements + extra)
 
     def element(self, name: str) -> Element:
         for e in self.elements:
@@ -354,7 +361,7 @@ def parse_netlist(text: str) -> Circuit:
         elements.append(element)
 
     annotations = PortAnnotations(input_port, output_port, feedback)
-    return Circuit(title, tuple(elements), annotations)
+    return Circuit(tuple(elements), title, annotations)
 
 
 def parse_netlist_file(path: str) -> Circuit:

@@ -9,54 +9,22 @@ rout, driving the out terminal through a synthesized internal node named
 across its inputs.
 
 ``linearize`` expands every element of a parsed circuit and ``restrict``
-only the named ones, each macro in place.  A ``LinearCircuit`` holds its
-elements only; its node set derives from them by ``netlist.node_set``.
+only the named ones, each macro in place, into a ``Circuit`` of primitives
+with no title or annotations.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Iterable
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Collection
 
-from .netlist import (
-    GROUND,
-    BjtPi,
-    Circuit,
-    Element,
-    ISource,
-    OpAmp,
-    Resistor,
-    Vccs,
-    Vcvs,
-    VSource,
-    node_set,
-)
-
-Primitive = Resistor | VSource | ISource | Vcvs | Vccs
+from .netlist import GROUND, BjtPi, Circuit, Element, OpAmp, Primitive, Resistor, Vccs, Vcvs
 
 
 class InvalidMacroParams(Exception):
     def __init__(self, name: str, message: str):
         super().__init__(f"{name}: {message}")
         self.name = name
-
-
-@dataclass(frozen=True)
-class LinearCircuit:
-    elements: tuple[Primitive, ...]
-
-    @classmethod
-    def of(cls, elements: Iterable[Primitive]) -> "LinearCircuit":
-        return cls(tuple(elements))
-
-    @cached_property
-    def nodes(self) -> frozenset[str]:
-        return node_set(self.elements)
-
-    def with_elements(self, *extra: Primitive) -> "LinearCircuit":
-        return LinearCircuit(self.elements + extra)
 
 
 def _require_positive(name: str, **values: float):
@@ -88,12 +56,11 @@ def _expand(e: Element) -> list[Primitive]:
     return [e]
 
 
-def linearize(circuit: Circuit) -> LinearCircuit:
+def linearize(circuit: Circuit) -> Circuit:
     """Replace every macro with its primitive model; primitives pass through."""
-    return LinearCircuit.of(p for e in circuit.elements for p in _expand(e))
+    return Circuit(tuple(p for e in circuit.elements for p in _expand(e)))
 
 
-def restrict(circuit: Circuit, names: Collection[str]) -> LinearCircuit:
+def restrict(circuit: Circuit, names: Collection[str]) -> Circuit:
     """``linearize`` of the named elements of ``circuit`` alone."""
-    return LinearCircuit.of(p for e in circuit.elements if e.name in names
-                            for p in _expand(e))
+    return Circuit(tuple(p for e in circuit.elements if e.name in names for p in _expand(e)))

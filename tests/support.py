@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from feedback_lens import sfg
 from feedback_lens.feedback import AmplifierParams
 from feedback_lens.netlist import GROUND, BjtPi, Circuit, OpAmp, PortAnnotations, Resistor, Vccs
-from feedback_lens.smallsignal import LinearCircuit, linearize
+from feedback_lens.smallsignal import linearize
 
 
 def random_resistor_mesh(rng: np.random.Generator, n_nodes: int = 5,
-                         extra_edges: int = 4) -> LinearCircuit:
+                         extra_edges: int = 4) -> Circuit:
     """Connected resistor network on nodes n1..nN plus ground: a random
     spanning tree rooted at ground plus a few extra chords."""
     names = [GROUND] + [f"n{i}" for i in range(1, n_nodes + 1)]
@@ -42,7 +42,7 @@ def random_resistor_mesh(rng: np.random.Generator, n_nodes: int = 5,
         i, j = rng.integers(0, len(names), size=2)
         if i != j:
             add(names[int(i)], names[int(j)])
-    return LinearCircuit.of(elements)
+    return Circuit(tuple(elements))
 
 
 def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
@@ -193,7 +193,7 @@ def active_meshes(draw, max_nodes: int = 8):
         OpAmp("X1", draw(node), draw(node), draw(node), draw(decades(1, 5)), draw(ohms),
               draw(st.none() | ohms)),
     ]
-    circuit = Circuit("mesh", tuple(elements))
+    circuit = Circuit(tuple(elements), "mesh")
     port = tuple(draw(st.permutations(names))[:2])
     return circuit, linearize(circuit), port
 
@@ -224,7 +224,7 @@ def fig3_amplifier(kind: str, devices, loads, feedback: list[Resistor]) -> Circu
     feedback network."""
     forward, _, input_port, output_port = FIG3[kind]
     annotations = PortAnnotations(input_port, output_port, frozenset(e.name for e in feedback))
-    return Circuit(kind, tuple(forward(devices, loads)) + tuple(feedback), annotations)
+    return Circuit(tuple(forward(devices, loads)) + tuple(feedback), kind, annotations)
 
 
 # (g_m, r_pi, r_o) over draw_params' ranges

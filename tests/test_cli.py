@@ -241,6 +241,18 @@ def test_crosscheck_sweep_with_no_value_is_a_typed_error(capsys, sweep, fmt):
     assert (code, out, err) == (1, "", "error: --sweep expects axis=v1,v2,...\n")
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("option, value, problem", [
+    ("--set", "k=", "bad numeric value ''"),
+    ("--sweep", "K=1,abc", "bad numeric value 'abc'"),
+    ("--set", "k=1e400", "non-finite value '1e400'"),
+])
+def test_crosscheck_bad_number_names_its_option(capsys, option, value, problem, fmt):
+    # not a netlist error: no file name and line number
+    code, out, err = run(capsys, "crosscheck", "--case", "1", option, value, "--format", fmt)
+    assert (code, out, err) == (1, "", f"error: {option} {value}: {problem}\n")
+
+
 @pytest.mark.parametrize("case", ["1", "2"])
 def test_crosscheck_finite_input_resistance_passes(capsys, case):
     code, out, _ = run(

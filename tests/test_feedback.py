@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from feedback_lens import crosscheck, feedback as fb, mna
 from feedback_lens.feedback import AmplifierParams, Mixing, Validity
 from feedback_lens.netlist import (
     GROUND,
     BjtPi,
+    Circuit,
     ISource,
     OpAmp,
     Resistor,
@@ -20,7 +21,7 @@ from feedback_lens.netlist import (
     parse_netlist,
     parse_netlist_file,
 )
-from feedback_lens.smallsignal import LinearCircuit, linearize, restrict
+from feedback_lens.smallsignal import linearize, restrict
 from support import draw_params, feedback_amplifiers, fig3_amplifier, resistor_meshes
 
 TYPICAL = AmplifierParams.typical()
@@ -133,9 +134,7 @@ def test_classify_requires_annotations():
 
 def _bridge_network(r1, r2):
     """Input-node to sense-node bridge r1, sense-node to ground r2."""
-    return LinearCircuit.of(
-        [Resistor("R1", "in", "m", r1), Resistor("R2", "m", GROUND, r2)]
-    )
+    return Circuit((Resistor("R1", "in", "m", r1), Resistor("R2", "m", GROUND, r2)))
 
 
 SHUNT_SERIES = fb.FeedbackTopology(Mixing.SHUNT, Mixing.SERIES, Validity.VALID)
@@ -158,7 +157,7 @@ def test_bridge_network_loading_golden():
 
 
 def test_single_resistor_shunt_shunt():
-    net = LinearCircuit.of([Resistor("RF", "in", "out", 47e3)])
+    net = Circuit((Resistor("RF", "in", "out", 47e3),))
     loading = fb.loading_effect(net, SHUNT_SHUNT, ("in", GROUND), ("out", GROUND))
     assert loading.R_if == pytest.approx(47e3, rel=1e-12)
     assert loading.R_of == pytest.approx(47e3, rel=1e-12)
@@ -166,7 +165,7 @@ def test_single_resistor_shunt_shunt():
 
 
 def test_single_resistor_series_series():
-    net = LinearCircuit.of([Resistor("R1", "e", GROUND, 1e3)])
+    net = Circuit((Resistor("R1", "e", GROUND, 1e3),))
     loading = fb.loading_effect(net, SERIES_SERIES, ("e", GROUND), ("e", GROUND))
     assert loading.R_if == pytest.approx(1e3, rel=1e-12)
     assert loading.R_of == pytest.approx(1e3, rel=1e-12)
@@ -179,12 +178,12 @@ def test_t_network_series_series_matches_z_parameters():
     rng = np.random.default_rng(23)
     for _ in range(25):
         ra, rb, rc = (float(10 ** rng.uniform(1, 6)) for _ in range(3))
-        net = LinearCircuit.of(
-            [
+        net = Circuit(
+            (
                 Resistor("Ra", "p1", "t", ra),
                 Resistor("Rb", "t", "p2", rb),
                 Resistor("Rc", "t", GROUND, rc),
-            ]
+            )
         )
         loading = fb.loading_effect(net, SERIES_SERIES, ("p1", GROUND), ("p2", GROUND))
         assert loading.R_if == pytest.approx(ra + rc, rel=1e-12)
@@ -197,9 +196,7 @@ def test_divider_series_shunt():
     rng = np.random.default_rng(29)
     for _ in range(10):
         ra, rb = (float(10 ** rng.uniform(1, 6)) for _ in range(2))
-        net = LinearCircuit.of(
-            [Resistor("Ra", "out", "e", ra), Resistor("Rb", "e", GROUND, rb)]
-        )
+        net = Circuit((Resistor("Ra", "out", "e", ra), Resistor("Rb", "e", GROUND, rb)))
         loading = fb.loading_effect(net, SERIES_SHUNT, ("e", GROUND), ("out", GROUND))
         assert loading.f == pytest.approx(rb / (ra + rb), rel=1e-12)
         assert loading.R_if == pytest.approx(ra * rb / (ra + rb), rel=1e-12)
@@ -207,9 +204,7 @@ def test_divider_series_shunt():
 
 
 def test_loading_rejects_active_feedback():
-    net = LinearCircuit.of(
-        [Resistor("R1", "a", GROUND, 1e3), VSource("V1", "a", GROUND, 1.0)]
-    )
+    net = Circuit((Resistor("R1", "a", GROUND, 1e3), VSource("V1", "a", GROUND, 1.0)))
     with pytest.raises(ValueError):
         fb.loading_effect(net, SERIES_SERIES, ("a", GROUND), ("a", GROUND))
 
@@ -231,9 +226,10 @@ def three_probe_loading(net, topo, input_port, output_port):
         excitation = VSource("__excite", output_port[0], output_port[1], 1.0)
     if topo.input_mix is Mixing.SHUNT:
         short = VSource("__mix_short", input_port[0], input_port[1], 0.0)
-        f = -mna.solve_circuit(net.with_elements(excitation, short)).branch_currents["__mix_short"]
+        solution = mna.solve(mna.assemble(net.with_elements(excitation, short)))
+        f = -solution.branch_currents["__mix_short"]
     else:
-        f = mna.solve_circuit(net.with_elements(excitation)).across(input_port)
+        f = mna.solve(mna.assemble(net.with_elements(excitation))).across(input_port)
     return fb.LoadingModel(R_if=r_if, R_of=r_of, f=f)
 
 
@@ -246,7 +242,7 @@ def resistive_feedback_networks(draw, grounded=st.booleans()):
     grounded = draw(grounded)
     names = ["p", "q"] + [f"m{i}" for i in range(draw(st.integers(0, 4)))]
     names = draw(st.permutations(names + [GROUND] if grounded else names))
-    mesh = LinearCircuit.of(draw(resistor_meshes(names)))
+    mesh = Circuit(tuple(draw(resistor_meshes(names))))
     return mesh, ("p", GROUND), ("q", GROUND), grounded
 
 
@@ -334,28 +330,22 @@ def test_input_side_outside_the_feedback_network_raises_unknown_node(netlists_di
 
 
 def test_output_side_outside_the_feedback_network_raises_unknown_node():
-    network = LinearCircuit.of([Resistor("RF", "a", "b", 1e3), Resistor("RG", "b", GROUND, 1e3)])
+    network = Circuit((Resistor("RF", "a", "b", 1e3), Resistor("RG", "b", GROUND, 1e3)))
     topo = fb.FeedbackTopology(Mixing.SERIES, Mixing.SERIES, Validity.VALID)
     with pytest.raises(mna.UnknownNode, match="'absent'"):
         fb.loading_effect(network, topo, ("a", GROUND), ("absent", GROUND))
 
 
-@settings(deadline=None)
-@given(circuit=feedback_amplifiers(islands=True))
-def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
-    # the reduced network must give the whole network's values and errors
-    topo = fb.classify_topology(circuit)
-    input_side, output_side = fb.feedback_ports(circuit)
-    whole = restrict(circuit, circuit.annotations.feedback_elements)
+def outcome(measure, *args):
+    try:
+        return measure(*args)
+    except (mna.SingularMatrix, mna.UnknownNode) as exc:
+        return type(exc)
 
-    def outcome(measure, *args):
-        try:
-            return measure(*args)
-        except (mna.SingularMatrix, mna.UnknownNode) as exc:
-            return type(exc)
 
-    got = outcome(fb.loading_of_circuit, circuit)
-    expected = outcome(fb.loading_effect, whole, topo, input_side, output_side)
+def assert_same_loading(got, expected, topo):
+    """``got`` and ``expected``, each a loading or the error ``outcome``
+    gives, agree: the same error, or each value within 1e-12."""
     if isinstance(expected, type) or isinstance(got, type):
         assert got == expected
         return
@@ -370,6 +360,47 @@ def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
     f_scale = port_scale ** power
     if max(abs(got.f), abs(expected.f)) >= 1e-15 * f_scale:
         assert got.f == pytest.approx(expected.f, rel=1e-12, abs=0.0)
+
+
+@settings(deadline=None)
+@given(circuit=feedback_amplifiers(islands=True))
+def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
+    # the reduced network must give the whole network's values and errors
+    topo = fb.classify_topology(circuit)
+    input_side, output_side = fb.feedback_ports(circuit)
+    whole = restrict(circuit, circuit.annotations.feedback_elements)
+    assert_same_loading(outcome(fb.loading_of_circuit, circuit),
+                        outcome(fb.loading_effect, whole, topo, input_side, output_side), topo)
+
+
+@st.composite
+def four_port_networks(draw):
+    """A ``resistor_meshes`` network on ground and n0 to n3..n7, with an
+    input side and an output side on four distinct nodes of it."""
+    names = [GROUND] + [f"n{i}" for i in range(draw(st.integers(4, 8)))]
+    net = Circuit(tuple(draw(resistor_meshes(draw(st.permutations(names))))))
+    a, b, c, d = draw(st.permutations(names))[:4]
+    return net, (a, b), (c, d)
+
+
+# f nearly cancels here (series-shunt): rounding the reduced network's
+# resistances to float moved it by 2.1e-11 relative
+CANCELLING = Circuit(tuple(Resistor(f"R{i}", a, b, ohms) for i, (a, b, ohms) in enumerate([
+    ("n0", "n4", 438.48), (GROUND, "n4", 1706900.0), ("n2", "n4", 178.46),
+    ("n5", "n2", 590.64), (GROUND, "n1", 110.18), ("n3", "n1", 2800.8),
+    ("n6", "n2", 1483300.0), ("n3", "n2", 108.11), (GROUND, "n2", 9957500.0),
+    ("n2", "n4", 5173200.0), ("n4", "n2", 16.423)])))
+
+
+@pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.label)
+@settings(deadline=None)
+@given(case=four_port_networks())
+@example(case=(CANCELLING, ("n5", "n0"), ("n3", "n6")))
+def test_loading_of_the_reduced_network_equals_loading_of_the_whole(topo, case):
+    net, input_side, output_side = case
+    reduced = mna.reduce_onto(net, {GROUND, *input_side, *output_side})
+    assert_same_loading(outcome(fb.loading_effect, reduced, topo, input_side, output_side),
+                        outcome(fb.loading_effect, net, topo, input_side, output_side), topo)
 
 
 def test_loading_with_both_ports_returned_to_a_node_outside_the_network():

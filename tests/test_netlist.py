@@ -26,7 +26,6 @@ from feedback_lens.netlist import (
     serialize,
     validate,
 )
-from feedback_lens.smallsignal import LinearCircuit
 
 FIG4_TEXT = """\
 .title output-series feedback, output at the collector
@@ -51,8 +50,8 @@ def test_single_resistor_statement():
 
 def test_node_set_is_ground_and_every_terminal_or_none():
     assert parse_netlist("* no elements\n").nodes == frozenset()
-    assert LinearCircuit.of([]).nodes == frozenset()
-    assert Circuit("", (Resistor("R1", "a", "b", 1.0),)).nodes == frozenset({"0", "a", "b"})
+    assert Circuit(()).nodes == frozenset()
+    assert Circuit((Resistor("R1", "a", "b", 1.0),)).nodes == frozenset({"0", "a", "b"})
 
 
 def test_case1_schematic_netlist():
@@ -311,7 +310,7 @@ def circuits(draw, value=values):
     feedback = draw(st.frozensets(st.sampled_from([e.name for e in elements])))
     title = draw(st.from_regex(r"([A-Za-z0-9,.()-]+( [A-Za-z0-9,.()-]+)*)?", fullmatch=True))
     annotations = PortAnnotations(draw(port), draw(port), feedback)
-    return Circuit(title, tuple(elements), annotations)
+    return Circuit(tuple(elements), title, annotations)
 
 
 @given(circuits())

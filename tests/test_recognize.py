@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from feedback_lens import crosscheck as cc
 from feedback_lens.feedback import AmplifierParams
-from feedback_lens.netlist import GROUND, Resistor, Vccs, Vcvs, parse_netlist_file
-from feedback_lens.smallsignal import LinearCircuit, linearize
+from feedback_lens.netlist import GROUND, Circuit, Resistor, Vccs, Vcvs, parse_netlist_file
+from feedback_lens.smallsignal import linearize
 
 from support import amplifier_params as params, decades
 
@@ -32,7 +32,7 @@ def disguised(draw, lc, port):
         if isinstance(e, Resistor) and draw(st.booleans()):
             ends = {"n1": ends["n2"], "n2": ends["n1"]}
         elements.append(replace(e, name=name, **ends))
-    return LinearCircuit.of(draw(st.permutations(elements))), (node[port[0]], node[port[1]])
+    return Circuit(tuple(draw(st.permutations(elements)))), (node[port[0]], node[port[1]])
 
 
 def case_circuit(data, case, p):
@@ -56,7 +56,7 @@ def test_finite_input_resistance_is_not_recognized(case, p, r_in, data):
 def test_dropped_element_is_not_recognized(case, p, data):
     lc, port = case_circuit(data, case, p)
     drop = data.draw(st.sampled_from(lc.elements))
-    assert cc.recognize_case(LinearCircuit.of(e for e in lc.elements if e is not drop), port) is None
+    assert cc.recognize_case(Circuit(tuple(e for e in lc.elements if e is not drop)), port) is None
 
 
 @given(st.sampled_from((1, 2)), params, decades(1, 7), st.data())
@@ -71,7 +71,7 @@ def test_swapped_control_pair_is_not_recognized(case, p, data):
     lc, port = case_circuit(data, case, p)
     source = data.draw(st.sampled_from([e for e in lc.elements if isinstance(e, (Vcvs, Vccs))]))
     swapped = [replace(e, cp=e.cn, cn=e.cp) if e is source else e for e in lc.elements]
-    assert cc.recognize_case(LinearCircuit.of(swapped), port) is None
+    assert cc.recognize_case(Circuit(tuple(swapped)), port) is None
 
 
 @given(st.sampled_from((1, 2)), params, st.data())
@@ -94,14 +94,14 @@ def test_merged_nodes_are_not_recognized(case, p, data):
                       for f in ("n1", "n2", "cp", "cn") if hasattr(e, f)})
         for e in lc.elements
     ]
-    assert cc.recognize_case(LinearCircuit.of(merged), tuple(merge.get(n, n) for n in port)) is None
+    assert cc.recognize_case(Circuit(tuple(merged)), tuple(merge.get(n, n) for n in port)) is None
 
 
 @given(params, st.floats(0.5, 2.0).filter(lambda gain: gain != 1.0))
 def test_case2_rail_gain_other_than_one_is_not_recognized(p, gain):
     lc = cc.build_case2_circuit(p)
     changed = [replace(e, gain=gain) if e.name == "ebuf" else e for e in lc.elements]
-    assert cc.recognize_case(LinearCircuit.of(changed), cc.CASE2_PORT) is None
+    assert cc.recognize_case(Circuit(tuple(changed)), cc.CASE2_PORT) is None
 
 
 @pytest.mark.parametrize("case", [1, 2])
@@ -130,4 +130,4 @@ def test_fixtures(netlists_dir):
 def test_negative_gain_is_not_a_case_circuit():
     lc = cc.build_case1_circuit(AmplifierParams.typical())
     flipped = [replace(e, gain=-e.gain) if isinstance(e, Vcvs) else e for e in lc.elements]
-    assert cc.recognize_case(LinearCircuit.of(flipped), cc.CASE1_PORT) is None
+    assert cc.recognize_case(Circuit(tuple(flipped)), cc.CASE1_PORT) is None

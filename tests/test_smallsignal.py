@@ -3,8 +3,8 @@ from dataclasses import replace
 import pytest
 
 from feedback_lens import mna
-from feedback_lens.netlist import Resistor, Vccs, Vcvs, VSource, parse_netlist
-from feedback_lens.smallsignal import InvalidMacroParams, LinearCircuit, linearize, restrict
+from feedback_lens.netlist import Circuit, Resistor, Vccs, Vcvs, VSource, parse_netlist
+from feedback_lens.smallsignal import InvalidMacroParams, linearize, restrict
 
 
 def test_bjt_expansion():
@@ -60,7 +60,7 @@ def test_restrict_selects_named_elements():
     assert {e.name for e in expanded.elements} == {"Q1__rpi", "Q1__gm", "Q1__ro"}
 
 
-def _zeroed_gains(lc: LinearCircuit) -> LinearCircuit:
+def _zeroed_gains(lc: Circuit) -> Circuit:
     elements = []
     for e in lc.elements:
         if isinstance(e, Vccs):
@@ -69,10 +69,10 @@ def _zeroed_gains(lc: LinearCircuit) -> LinearCircuit:
             elements.append(replace(e, gain=0.0))
         else:
             elements.append(e)
-    return LinearCircuit.of(elements)
+    return Circuit(tuple(elements))
 
 
-def _passive_skeleton(lc: LinearCircuit) -> LinearCircuit:
+def _passive_skeleton(lc: Circuit) -> Circuit:
     elements = []
     for e in lc.elements:
         if isinstance(e, Vccs):
@@ -81,7 +81,7 @@ def _passive_skeleton(lc: LinearCircuit) -> LinearCircuit:
             elements.append(VSource(e.name, e.n1, e.n2, 0.0))
         else:
             elements.append(e)
-    return LinearCircuit.of(elements)
+    return Circuit(tuple(elements))
 
 
 def test_zero_gain_solution_equals_passive_skeleton():
@@ -95,8 +95,8 @@ X2 c 0 d K=50 rout=2k
 Rl d 0 10k
 """
     lc = linearize(parse_netlist(text))
-    dead = mna.solve_circuit(_zeroed_gains(lc))
-    skeleton = mna.solve_circuit(_passive_skeleton(lc))
+    dead = mna.solve(mna.assemble(_zeroed_gains(lc)))
+    skeleton = mna.solve(mna.assemble(_passive_skeleton(lc)))
     assert dead.node_voltages.keys() == skeleton.node_voltages.keys()
     for node, voltage in dead.node_voltages.items():
         assert voltage == pytest.approx(skeleton.node_voltages[node], rel=1e-12, abs=1e-15)
