@@ -6,7 +6,8 @@ to stdout, diagnostics to stderr.  Exit codes: 0 success/pass, 1 error,
 validation violations).
 
 Output format is ``table`` unless overridden by the FEEDBACK_LENS_FORMAT
-environment variable; an explicit --format flag wins over both.
+environment variable; an explicit --format flag wins over both.  Without
+--format, a value of that variable other than table or json is an error.
 """
 
 from __future__ import annotations
@@ -227,7 +228,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for domain rejection
         return 1 if exc.code else 0
     env = os.environ.get(FORMAT_ENV, "").strip().lower()
-    args.format = args.format or (env if env in ("table", "json") else "table")
+    if not args.format and env not in ("", "table", "json"):
+        print(f"error: {FORMAT_ENV}={env!r} is neither table nor json", file=sys.stderr)
+        return 1
+    args.format = args.format or env or "table"
     try:
         return args.func(args)
     except SystemExit as exc:

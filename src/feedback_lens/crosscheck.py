@@ -148,11 +148,11 @@ def case2_equations(p: AmplifierParams):
     ]
 
 
-def case1_flow_graph(p: AmplifierParams) -> sfg.FlowGraph:
+def case1_flow_graph(p: AmplifierParams) -> sfg.Graph:
     return sfg.from_linear_system(case1_equations(p))
 
 
-def case2_flow_graph(p: AmplifierParams) -> sfg.FlowGraph:
+def case2_flow_graph(p: AmplifierParams) -> sfg.Graph:
     return sfg.from_linear_system(case2_equations(p))
 
 
@@ -223,20 +223,20 @@ def _diagonal_assignment(pattern: list[list[int]]) -> list[int]:
 SYSTEM_SOURCE = "src"
 
 
-def flow_graph_of_system(system: mna.MnaSystem) -> sfg.FlowGraph:
+def flow_graph_of_system(system: mna.MnaSystem) -> sfg.Graph:
     """Rewrite A x = b * src as one causal equation per unknown and build the
     corresponding flow graph; the graph's gain src -> variable equals the
     solved sensitivity d(variable)/d(src), with src the node ``SYSTEM_SOURCE``."""
     names, rows, b = system.names, system.rows, system.rhs
-    edges = []
+    equations = []
     with localcontext(mna.DECIMAL):
         for var, i in enumerate(_diagonal_assignment([sorted(row) for row in rows])):
             pivot = rows[i][var]
-            if b[i]:
-                edges.append((SYSTEM_SOURCE, names[var], float(b[i] / pivot)))
-            edges += [(names[j], names[var], float(-v / pivot))
-                      for j, v in sorted(rows[i].items()) if j != var]
-    return sfg.FlowGraph(edges, names)
+            terms = [(float(b[i] / pivot), SYSTEM_SOURCE)] if b[i] else []
+            terms += [(float(-v / pivot), names[j]) for j, v in sorted(rows[i].items())
+                      if j != var]
+            equations.append((names[var], terms))
+    return sfg.from_linear_system(equations)
 
 
 def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:

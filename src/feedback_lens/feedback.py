@@ -150,13 +150,6 @@ def _roles(e) -> tuple[tuple[str, ...], ...]:
     return _ROLES[type(e)](e) if type(e) in _ROLES else ((), (), ())
 
 
-@dataclass(frozen=True)
-class _Classification:
-    topology: FeedbackTopology
-    input_side: tuple[str, str]  # feedback port facing the amplifier input
-    output_side: tuple[str, str]  # feedback port facing the amplifier output
-
-
 def _require_annotations(circuit: Circuit):
     ann = circuit.annotations
     if ann.input_port is None or ann.output_port is None:
@@ -168,7 +161,9 @@ def _require_annotations(circuit: Circuit):
         raise UnclassifiableTopology(f"unknown feedback elements {sorted(missing)}")
 
 
-def _classify(circuit: Circuit) -> _Classification:
+def _classify(circuit: Circuit) -> tuple[FeedbackTopology, tuple[str, str], tuple[str, str]]:
+    """The topology, and the node pairs through which the feedback network
+    faces the amplifier's input side and its output side."""
     _require_annotations(circuit)
     ann = circuit.annotations
     i_plus, i_minus = ann.input_port
@@ -233,24 +228,16 @@ def _classify(circuit: Circuit) -> _Classification:
                 "feedback network does not reach the input comparison"
             )
 
-    topo = FeedbackTopology(input_mix, output_sense, validity)
-    input_side = (mix_node, i_minus if mix_node != i_minus else GROUND)
-    output_side = (sense_node, o_minus if sense_node != o_minus else GROUND)
-    return _Classification(topo, input_side, output_side)
+    return (FeedbackTopology(input_mix, output_sense, validity),
+            (mix_node, i_minus if mix_node != i_minus else GROUND),
+            (sense_node, o_minus if sense_node != o_minus else GROUND))
 
 
 def classify_topology(circuit: Circuit) -> FeedbackTopology:
     """Classify the annotated feedback connection as series/shunt at each
     port; feedback returned into a collector-like drive terminal is flagged
     Irrelevant."""
-    return _classify(circuit).topology
-
-
-def feedback_ports(circuit: Circuit) -> tuple[tuple[str, str], tuple[str, str]]:
-    """Node pairs through which the feedback network faces the input side
-    and the output side of the amplifier."""
-    cls = _classify(circuit)
-    return cls.input_side, cls.output_side
+    return _classify(circuit)[0]
 
 
 # --------------------------------------------------------------------------
@@ -309,10 +296,10 @@ def loading_of_circuit(circuit: Circuit) -> LoadingModel:
     """Classify, isolate the feedback network and measure its loading on
     its equivalent at the port nodes and ground (``mna.reduce_onto``, the
     star-mesh transform): the paper's two-port step reads only that view."""
-    cls = _classify(circuit)
+    topo, input_side, output_side = _classify(circuit)
     fb = restrict(circuit, circuit.annotations.feedback_elements)
-    reduced = mna.reduce_onto(fb, {GROUND, *cls.input_side, *cls.output_side})
-    return loading_effect(reduced, cls.topology, cls.input_side, cls.output_side)
+    reduced = mna.reduce_onto(fb, {GROUND, *input_side, *output_side})
+    return loading_effect(reduced, topo, input_side, output_side)
 
 
 # --------------------------------------------------------------------------

@@ -179,57 +179,48 @@ Primitive = Resistor | VSource | ISource | Vcvs | Vccs
 Element = Primitive | BjtPi | OpAmp
 
 
-@dataclass(frozen=True)
-class Value:
-    """One value of an element statement, filling the class field ``field``.
-
-    It is a bare token, or ``key=value`` when ``key`` is set; a row has one
-    bare value, the statement's last token, or only keyed ones.  ``validate``
-    reports it under ``label`` (the key when unset; neither set: unchecked),
-    requiring it to be > 0 when ``positive`` and finite otherwise.  An
-    ``optional`` value may be absent, leaving the field None.
-    """
-
-    field: str
-    label: str | None = None
-    key: str | None = None
-    positive: bool = True
-    optional: bool = False
-
-
 class Kind:
     """One grammar row: the element class, the message for a wrong token
-    count, the number of node fields (the class fields after ``name``) and
-    the values that follow the nodes.  Everything the parser, serializer
-    and validator read is worked out here once, and the class's
+    count and the number of node fields (the class fields after ``name``).
+    The fields after the nodes are the values, and one that defaults to
+    None may be absent.  A row has one bare value, the statement's last
+    token, which ``validate`` reports under ``label`` (unset: unchecked),
+    requiring it to be > 0 when ``positive`` and finite otherwise; or it
+    names the ``keys`` of its ``key=value`` tokens, one per value field in
+    order, each checked > 0 under its key.  Everything the parser,
+    serializer and validator read is worked out here once, and the class's
     ``terminals`` becomes its node fields."""
 
-    def __init__(self, cls: type, arity: str, width: int, *values: Value):
+    def __init__(self, cls: type, arity: str, width: int, label: str | None = None,
+                 positive: bool = True, keys: tuple[str, ...] = ()):
         self.cls, self.arity, self.width = cls, arity, width
-        needed = sum(not v.optional for v in values)
-        self.lengths = range(1 + width + needed, 2 + width + len(values))  # name included
-        self.field_of_key = {v.key: v.field for v in values if v.key}
-        self.required = {v.key for v in values if v.key and not v.optional}
-        self.words = [(v.field, f"{v.key}=" if v.key else "") for v in values]
-        labels = [(v, v.label or v.key) for v in values]
-        self.checked = [(v.field, label, v.positive) for v, label in labels if label]
-        cls.terminals = property(attrgetter(*[f.name for f in fields(cls)][1:1 + width]))
+        nodes, values = fields(cls)[1:1 + width], fields(cls)[1 + width:]
+        optional = {f.name for f in values if f.default is None}
+        self.lengths = range(1 + width + len(values) - len(optional), 2 + width + len(values))
+        self.field_of_key = {key: f.name for key, f in zip(keys, values)}
+        self.required = {key for key, field in self.field_of_key.items() if field not in optional}
+        if keys:
+            self.words = [(field, f"{key}=") for key, field in self.field_of_key.items()]
+            self.checked = [(field, key, True) for key, field in self.field_of_key.items()]
+        else:
+            self.words = [(values[0].name, "")]
+            self.checked = [(values[0].name, label, positive)] if label else []
+        cls.terminals = property(attrgetter(*[f.name for f in nodes]))
 
 
 # The SPICE element-card format: a letter, the nodes, then the values.
 GRAMMAR = {
-    "R": Kind(Resistor, "resistor needs 2 nodes and a value", 2, Value("ohms", "resistance")),
-    "V": Kind(VSource, "voltage source needs 2 nodes and a value", 2, Value("volts")),
-    "I": Kind(ISource, "current source needs 2 nodes and a value", 2, Value("amps")),
-    "E": Kind(Vcvs, "controlled voltage source needs 4 nodes and a gain", 4,
-              Value("gain", "gain", positive=False)),
+    "R": Kind(Resistor, "resistor needs 2 nodes and a value", 2, "resistance"),
+    "V": Kind(VSource, "voltage source needs 2 nodes and a value", 2),
+    "I": Kind(ISource, "current source needs 2 nodes and a value", 2),
+    "E": Kind(Vcvs, "controlled voltage source needs 4 nodes and a gain", 4, "gain",
+              positive=False),
     "G": Kind(Vccs, "controlled current source needs 4 nodes and a transconductance", 4,
-              Value("gm", "transconductance")),
+              "transconductance"),
     "Q": Kind(BjtPi, "bipolar device needs base collector emitter gm= rpi= ro=", 3,
-              Value("gm", key="gm"), Value("rpi", key="rpi"), Value("ro", key="ro")),
+              keys=("gm", "rpi", "ro")),
     "X": Kind(OpAmp, "op-amp needs plus minus out K= rout= [rin=]", 3,
-              Value("gain", key="K"), Value("rout", key="rout"),
-              Value("rin", key="rin", optional=True)),
+              keys=("K", "rout", "rin")),
 }
 _KIND_OF = {kind.cls: kind for kind in GRAMMAR.values()}
 
@@ -316,11 +307,12 @@ def parse_netlist(text: str) -> Circuit:
     """Parse a netlist into a Circuit.
 
     Raises NetlistSyntaxError / DuplicateName / UnknownElementKind with the
-    offending 1-based line number attached.
+    offending 1-based line number attached; a directive given twice is a
+    NetlistSyntaxError.
     """
     title = ""
     elements: list[Element] = []
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # line of each element name and directive
     input_port = output_port = None
     feedback: frozenset[str] = frozenset()
 
@@ -332,6 +324,10 @@ def parse_netlist(text: str) -> Circuit:
         head = tokens[0]
         if head.startswith("."):
             directive = head.lower()
+            if directive in seen:
+                raise NetlistSyntaxError(
+                    f"{directive} already given on line {seen[directive]}", lineno)
+            seen[directive] = lineno
             if directive == ".title":
                 title = stripped.split(None, 1)[1] if len(tokens) > 1 else ""
             elif directive == ".input":

@@ -1,7 +1,9 @@
 """Signal-flow-graph engine.
 
-Graphs hold one node per signal variable and one weighted directed edge per
-linear dependence.  Two routes compute the transmission gain src -> dst.
+A graph is a successor map ``{u: {v: gain}}``, built by
+``from_linear_system`` with one node per signal variable and one weighted
+directed edge per linear dependence.  Two routes compute the transmission
+gain src -> dst.
 
 Enumeration (``mason_terms``, ``mason_gain``) lists simple loops and simple
 forward paths in a deterministic order, computes the graph determinant over
@@ -30,11 +32,11 @@ the nodal solver's elimination.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import attrgetter
 
+# Every node, each with the gain of each of its out-edges.  A loop or a
+# forward path is a (nodes, gain) tuple.
+Graph = dict[str, dict[str, float]]
 
 DEFAULT_CAP = 10_000
 
@@ -51,98 +53,44 @@ class ZeroDeterminant(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Loop:
-    nodes: tuple[str, ...]  # rotated so the smallest node comes first
-    gain: float
-
-    def touches(self, other: "Loop") -> bool:
-        return bool(set(self.nodes) & set(other.nodes))
-
-
-@dataclass(frozen=True)
-class Path:
-    nodes: tuple[str, ...]
-    gain: float
-
-
-@dataclass(frozen=True)
-class MasonTerms:
-    forward_paths: tuple[Path, ...]
-    loops: tuple[Loop, ...]
-    determinant: float
-    cofactors: tuple[float, ...]
-    determinant_scale: float  # sum of |term| over the determinant's expansion
-
-    @property
-    def gain(self) -> float:
-        total = sum(p.gain * d for p, d in zip(self.forward_paths, self.cofactors))
-        return total / self.determinant
-
-
-class FlowGraph:
-    """Directed weighted graph held as a successor map: every node, then
-    each node's successors with their edge gains, both in name order.
-    Parallel edges are summed; ``nodes`` may add nodes that no edge touches."""
-
-    def __init__(self, edges: Iterable[tuple[str, str, float]] = (), nodes: Iterable[str] = ()):
-        succ: dict[str, dict[str, float]] = {n: {} for n in nodes}
-        for u, v, gain in edges:
-            if not math.isfinite(gain):
-                raise ValueError(f"edge {u}->{v} gain must be finite")
-            outs = succ.setdefault(u, {})
-            succ.setdefault(v, {})
-            outs[v] = outs.get(v, 0.0) + gain
-        self._succ = {u: dict(sorted(succ[u].items())) for u in sorted(succ)}
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(self._succ)
-
-    @property
-    def edges(self) -> tuple[tuple[str, str, float], ...]:
-        return tuple((u, v, g) for u, outs in self._succ.items() for v, g in outs.items())
-
-    def gain(self, u: str, v: str) -> float:
-        return self._succ.get(u, {}).get(v, 0.0)
-
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        """A copy of the successor map."""
-        return {u: dict(outs) for u, outs in self._succ.items()}
-
-
 def from_linear_system(
     equations: "list[tuple[str, list[tuple[float, str]]]]",
-) -> FlowGraph:
+) -> Graph:
     """Build the graph of a causal linear system.
 
     Each entry ``(y, [(c1, x1), (c2, x2), ...])`` states y = c1*x1 + c2*x2 + ...
-    and contributes an edge of weight c from every x to y.  A variable may be
-    defined by at most one equation; source variables are defined by none.
+    and contributes an edge of weight c from every x to y; parallel terms
+    are summed, and every gain must be finite.  A variable may be defined by
+    at most one equation; source variables are defined by none.
     """
-    defined: set[str] = set()
+    graph: Graph = {}
     for lhs, _ in equations:
-        if lhs in defined:
+        if lhs in graph:
             raise MultipleDefinitions(f"variable {lhs!r} defined more than once")
-        defined.add(lhs)
-    return FlowGraph([(var, lhs, coef) for lhs, terms in equations for coef, var in terms],
-                     defined)
+        graph[lhs] = {}
+    for lhs, terms in equations:
+        for coef, var in terms:
+            if not math.isfinite(coef):
+                raise ValueError(f"edge {var}->{lhs} gain must be finite")
+            outs = graph.setdefault(var, {})
+            outs[lhs] = outs.get(lhs, 0.0) + coef
+    return graph
 
 
-def _walks(adjacency: dict[str, dict[str, float]], ends: list[tuple[str, str, str]],
-           make: type, what: str) -> list:
-    """``make(nodes, gain)`` of each simple walk start -> target through nodes
+def _walks(graph: Graph, ends: list[tuple[str, str, str]], what: str) -> list:
+    """``(nodes, gain)`` of each simple walk start -> target through nodes
     not before floor in name order, for each (start, target, floor) of
-    ``ends``.  A loop (target == start) lists its nodes once, a path up to
-    its target; past ``DEFAULT_CAP`` of them it raises LimitExceeded."""
+    ``ends``, sorted by nodes.  A loop (target == start) lists its nodes
+    once, a path up to its target; past ``DEFAULT_CAP`` of them it raises
+    LimitExceeded."""
     found: list = []
 
     def walk(node: str, path: list[str], gain: float, visited: set[str]):
-        for nbr, edge_gain in adjacency[node].items():
+        for nbr, edge_gain in graph[node].items():
             if nbr == target:
                 if len(found) >= DEFAULT_CAP:
                     raise LimitExceeded(f"more than {DEFAULT_CAP} {what}; use elimination_gain")
-                found.append(make(tuple(path) + closing, gain * edge_gain))
+                found.append((tuple(path) + closing, gain * edge_gain))
             elif nbr >= floor and nbr not in visited:
                 visited.add(nbr)
                 path.append(nbr)
@@ -153,28 +101,28 @@ def _walks(adjacency: dict[str, dict[str, float]], ends: list[tuple[str, str, st
     for start, target, floor in ends:
         closing = () if target == start else (target,)
         walk(start, [start], 1.0, {start})
-    found.sort(key=attrgetter("nodes"))
+    found.sort()  # no two walks share their nodes, so gains are never compared
     return found
 
 
-def enumerate_loops(graph: FlowGraph) -> list[Loop]:
+def enumerate_loops(graph: Graph) -> list[tuple[tuple[str, ...], float]]:
     """All simple directed cycles, each reported once, rotated to start at
     its smallest node, ordered lexicographically."""
-    return _walks(graph._succ, [(n, n, n) for n in graph._succ], Loop, "loops")
+    return _walks(graph, [(n, n, n) for n in graph], "loops")
 
 
-def enumerate_forward_paths(graph: FlowGraph, src: str, dst: str) -> list[Path]:
+def enumerate_forward_paths(graph: Graph, src: str,
+                            dst: str) -> list[tuple[tuple[str, ...], float]]:
     """All simple paths src -> dst with gains, in lexicographic order."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    succ = graph._succ
-    return _walks(succ, [(src, dst, "")] if src in succ else [], Path, "forward paths")
+    return _walks(graph, [(src, dst, "")] if src in graph else [], "forward paths")
 
 
-def _nontouching_expansion(loops: list[Loop]) -> tuple[float, float]:
+def _nontouching_expansion(loops: list) -> tuple[float, float]:
     """1 - sum L_i + sum L_i*L_j - ... over mutually node-disjoint loop sets,
     and the sum of the magnitudes of those terms."""
-    node_sets = [frozenset(l.nodes) for l in loops]
+    node_sets = [frozenset(nodes) for nodes, _ in loops]
     total = scale = 1.0
 
     def extend(next_index: int, gain: float, used: frozenset[str], sign: float):
@@ -182,7 +130,7 @@ def _nontouching_expansion(loops: list[Loop]) -> tuple[float, float]:
         for j in range(next_index, len(loops)):
             if node_sets[j] & used:
                 continue
-            combined = gain * loops[j].gain
+            combined = gain * loops[j][1]
             total += sign * combined
             scale += abs(combined)
             extend(j + 1, combined, used | node_sets[j], -sign)
@@ -191,21 +139,23 @@ def _nontouching_expansion(loops: list[Loop]) -> tuple[float, float]:
     return total, scale
 
 
-def graph_determinant(graph: FlowGraph) -> float:
+def graph_determinant(graph: Graph) -> float:
     return _nontouching_expansion(enumerate_loops(graph))[0]
 
 
-def mason_terms(graph: FlowGraph, src: str, dst: str) -> MasonTerms:
-    """Forward paths, loops, determinant and per-path cofactors for src->dst."""
+def mason_terms(graph: Graph, src: str, dst: str) -> tuple[float, float, float]:
+    """``(numerator, determinant, determinant_scale)`` of Mason's formula
+    for src -> dst: the sum of each forward path's gain times its cofactor,
+    the graph determinant, and the sum of the magnitudes of the
+    determinant's terms."""
     paths = enumerate_forward_paths(graph, src, dst)
     loops = enumerate_loops(graph)
-    determinant, scale = _nontouching_expansion(loops)
-    cofactors = []
-    for path in paths:
-        path_nodes = set(path.nodes)
-        untouched = [l for l in loops if path_nodes.isdisjoint(l.nodes)]
-        cofactors.append(_nontouching_expansion(untouched)[0])
-    return MasonTerms(tuple(paths), tuple(loops), determinant, tuple(cofactors), scale)
+
+    def cofactor(path_nodes):
+        return _nontouching_expansion([l for l in loops if path_nodes.isdisjoint(l[0])])[0]
+
+    numerator = sum(gain * cofactor(set(nodes)) for nodes, gain in paths)
+    return (numerator, *_nontouching_expansion(loops))
 
 
 # A pivot 1 - L, or a determinant, this small relative to the magnitude of
@@ -213,16 +163,16 @@ def mason_terms(graph: FlowGraph, src: str, dst: str) -> MasonTerms:
 _PIVOT_RTOL = 1e-12
 
 
-def mason_gain(graph: FlowGraph, src: str, dst: str) -> float:
+def mason_gain(graph: Graph, src: str, dst: str) -> float:
     """Transmission src -> dst by Mason's formula; a determinant that is
     rounding residue raises ZeroDeterminant."""
-    terms = mason_terms(graph, src, dst)
-    if abs(terms.determinant) <= _PIVOT_RTOL * terms.determinant_scale:
+    numerator, determinant, scale = mason_terms(graph, src, dst)
+    if abs(determinant) <= _PIVOT_RTOL * scale:
         raise ZeroDeterminant("graph determinant is zero to rounding")
-    return terms.gain
+    return numerator / determinant
 
 
-def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
+def elimination_gain(graph: Graph, src: str, dst: str) -> float:
     """Transmission src -> dst by node elimination; equals ``mason_gain``.
 
     A fresh source feeds ``src`` and ``dst`` feeds a fresh sink, both by unit
@@ -237,12 +187,13 @@ def elimination_gain(graph: FlowGraph, src: str, dst: str) -> float:
     recomputed only for the predecessors and successors of the node just
     eliminated: a splice changes the edges of those nodes alone, so every
     other rank, and hence the pivot order, is the same as when all
-    remaining nodes are ranked afresh at every step.
+    remaining nodes are ranked afresh at every step.  The work is done on
+    a copy, so ``graph`` is left as it was.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
     source, sink = object(), object()
-    succ: dict = graph.adjacency()
+    succ: dict = {u: dict(outs) for u, outs in graph.items()}
     succ.setdefault(src, {})
     succ.setdefault(dst, {})[sink] = 1.0
     succ[source], succ[sink] = {src: 1.0}, {}

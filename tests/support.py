@@ -259,12 +259,21 @@ def feedback_amplifiers(draw, islands: bool = False) -> Circuit:
                           draw(st.tuples(decades(1, 7), decades(1, 7))), feedback)
 
 
-def reference_elimination_gain(graph: sfg.FlowGraph, src: str, dst: str) -> float:
+def flow_graph(edges) -> sfg.Graph:
+    """The flow graph of ``(u, v, gain)`` edges, through
+    ``sfg.from_linear_system``: one equation for each node with in-edges."""
+    equations: dict = {}
+    for u, v, gain in edges:
+        equations.setdefault(v, []).append((gain, u))
+    return sfg.from_linear_system(list(equations.items()))
+
+
+def reference_elimination_gain(graph: sfg.Graph, src: str, dst: str) -> float:
     """``sfg.elimination_gain`` ranking every remaining node at every step."""
     if src == dst:
         raise ValueError("src and dst must differ")
     source, sink = object(), object()
-    succ: dict = graph.adjacency()
+    succ: dict = {u: dict(outs) for u, outs in graph.items()}
     succ.setdefault(src, {})
     succ.setdefault(dst, {})[sink] = 1.0
     succ[source], succ[sink] = {src: 1.0}, {}

@@ -26,6 +26,7 @@ from feedback_lens.feedback import AmplifierParams, Mixing, Validity
 from feedback_lens.netlist import GROUND, Circuit, ISource, Resistor, VSource, parse_netlist_file
 from support import (
     draw_params,
+    flow_graph,
     random_causal_system,
     random_resistor_mesh,
 )
@@ -103,13 +104,13 @@ def test_criterion_4_mason_oracle_suite():
         worst = max(worst, err)
         assert err <= 1e-9
 
-    chain = sfg.FlowGraph([("a", "b", 1.25), ("b", "c", -0.75), ("c", "d", 3.5)])
+    chain = flow_graph([("a", "b", 1.25), ("b", "c", -0.75), ("c", "d", 3.5)])
     assert abs(sfg.mason_gain(chain, "a", "d") - 1.25 * -0.75 * 3.5) <= 1e-12
 
-    looped = sfg.FlowGraph([("s", "m", 2.0), ("m", "m", -0.6), ("m", "d", 1.0)])
+    looped = flow_graph([("s", "m", 2.0), ("m", "m", -0.6), ("m", "d", 1.0)])
     assert abs(sfg.mason_gain(looped, "s", "d") - 2.0 / 1.6) <= 1e-12
 
-    pair = sfg.FlowGraph(
+    pair = flow_graph(
         [("a", "b", 1.0), ("b", "a", 0.3), ("c", "d", 1.0), ("d", "c", -0.2)]
     )
     expected = 1 - 0.3 - (-0.2) + 0.3 * -0.2

@@ -174,6 +174,25 @@ def test_runs_without_numpy(netlists_dir):
         assert done.returncode == 0, done.stderr
 
 
+def test_cli_imports_only_the_package_and_the_standard_library():
+    # sys.modules before and after, as site may already import third-party
+    # packages (a .pth hook) before any of the package's code runs
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import feedback_lens.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(feedback_lens.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout.split()
+    assert "feedback_lens.cli" in loaded
+    foreign = [name for name in loaded if name.partition(".")[0] != "feedback_lens"
+               and name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not foreign
+
+
 def test_loading_subcommand(capsys, netlists_dir):
     code, out, _ = run(capsys, "loading", str(netlists_dir / "fig3d.net"), "--format", "json")
     assert code == 0
@@ -279,6 +298,23 @@ def test_format_env_variable(capsys, netlists_dir, monkeypatch):
     code, out, _ = run(capsys, "classify", str(netlists_dir / "fig4.net"),
                        "--format", "table")
     assert out.strip() == "series-series (valid)"
+
+
+@pytest.mark.parametrize("value", ["xml", " XML ", "yaml"])
+def test_unknown_format_env_value_is_an_error(capsys, netlists_dir, monkeypatch, value):
+    monkeypatch.setenv("FEEDBACK_LENS_FORMAT", value)
+    code, out, err = run(capsys, "classify", str(netlists_dir / "fig4.net"))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: FEEDBACK_LENS_FORMAT={value.strip().lower()!r} "
+                   "is neither table nor json\n")
+    # an explicit --format does not read the variable
+    code, out, _ = run(capsys, "classify", str(netlists_dir / "fig4.net"),
+                       "--format", "table")
+    assert (code, out) == (0, "series-series (valid)\n")
+    monkeypatch.setenv("FEEDBACK_LENS_FORMAT", " ")
+    assert run(capsys, "classify", str(netlists_dir / "fig4.net"))[:2] == (
+        0, "series-series (valid)\n")
 
 
 def test_json_reports_round_trip(capsys, netlists_dir):

@@ -322,7 +322,7 @@ def test_input_side_outside_the_feedback_network_raises_unknown_node(netlists_di
     text = ((netlists_dir / "fig3b.net").read_text()
             .replace("RC c 0 4.7k", "RC c r 4.7k").replace(".input b 0", ".input b r"))
     circuit = parse_netlist(text)
-    input_side, output_side = fb.feedback_ports(circuit)
+    input_side, output_side = fb._classify(circuit)[1:]
     assert input_side == ("e", "r")
     network = restrict(circuit, circuit.annotations.feedback_elements)
     with pytest.raises(mna.UnknownNode, match="'r'"):
@@ -367,7 +367,7 @@ def assert_same_loading(got, expected, topo):
 def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
     # the reduced network must give the whole network's values and errors
     topo = fb.classify_topology(circuit)
-    input_side, output_side = fb.feedback_ports(circuit)
+    input_side, output_side = fb._classify(circuit)[1:]
     whole = restrict(circuit, circuit.annotations.feedback_elements)
     assert_same_loading(outcome(fb.loading_of_circuit, circuit),
                         outcome(fb.loading_effect, whole, topo, input_side, output_side), topo)
@@ -408,7 +408,7 @@ def test_loading_with_both_ports_returned_to_a_node_outside_the_network():
     # (shunt) port brings it in, so the loading has a value
     circuit = parse_netlist("Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRF c b 47k\nRG b 0 10k\n"
                             "RC c r 4.7k\nRR r 0 1k\n.input b r\n.output c r\n.feedback RF RG")
-    input_side, output_side = fb.feedback_ports(circuit)
+    input_side, output_side = fb._classify(circuit)[1:]
     assert (input_side, output_side) == (("b", "r"), ("c", "r"))
     whole = restrict(circuit, circuit.annotations.feedback_elements)
     assert fb.loading_of_circuit(circuit) == fb.loading_effect(
@@ -451,7 +451,7 @@ def test_loading_of_circuit_on_bridge_fixture(netlists_dir):
 
 def test_feedback_ports_inference(netlists_dir):
     circuit = parse_netlist_file(str(netlists_dir / "fig4.net"))
-    input_side, output_side = fb.feedback_ports(circuit)
+    input_side, output_side = fb._classify(circuit)[1:]
     assert input_side == ("e", "0")
     assert output_side == ("e", "0")
 

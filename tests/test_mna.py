@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, reject
 
 from feedback_lens import crosscheck as cc, mna
-from feedback_lens.feedback import feedback_ports, loading_of_circuit
+from feedback_lens.feedback import _classify, loading_of_circuit
 from feedback_lens.netlist import (
     GROUND, BjtPi, Circuit, ISource, OpAmp, Resistor, Vccs, Vcvs, VSource, parse_netlist,
 )
@@ -198,7 +198,7 @@ def test_port_behind_a_floating_resistor_chain_is_open(route, r1, r2):
 @pytest.mark.parametrize("route", ROUTES)
 def test_open_output_side_of_a_split_feedback_network(route):
     circuit = parse_netlist(SPLIT_FEEDBACK)
-    _, output_side = feedback_ports(circuit)
+    _, output_side = _classify(circuit)[1:]
     network = restrict(circuit, circuit.annotations.feedback_elements)
     assert route(network, output_side) == math.inf
     assert loading_of_circuit(circuit).R_of == math.inf
@@ -209,7 +209,7 @@ def test_stamps_cancel_exactly_on_open_feedback_ports(netlists_dir):
     # digits leaves a residue of about 1e-32 A on these ports.
     for text in ((netlists_dir / "irrelevant.net").read_text(), SPLIT_FEEDBACK):
         circuit = parse_netlist(text)
-        _, output_side = feedback_ports(circuit)
+        _, output_side = _classify(circuit)[1:]
         network = restrict(circuit, circuit.annotations.feedback_elements)
         solution = mna.solve(mna.probed_system(network, output_side))
         assert solution.branch_currents[mna.TEST_SOURCE] == 0.0

@@ -87,6 +87,20 @@ def test_duplicate_name_rejected():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("directive,first,second", [
+    (".title", ".title one", ".title two"),
+    (".input", ".input a 0", ".input b 0"),
+    (".output", ".output a 0", ".OUTPUT b 0"),
+    (".feedback", ".feedback RA", ".feedback RB"),
+])
+def test_repeated_directive_rejected(directive, first, second):
+    text = f"RA a b 1k\nRB b 0 1k\n{first}\n* a comment\n{second}\n"
+    message = f"^\\{directive} already given on line 3$"
+    with pytest.raises(NetlistSyntaxError, match=message) as info:
+        parse_netlist(text)
+    assert info.value.line == 5
+
+
 def test_unknown_element_kind():
     with pytest.raises(UnknownElementKind):
         parse_netlist("Z1 a 0 5")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from feedback_lens import crosscheck, sfg
 from feedback_lens.feedback import AmplifierParams
 
-from support import random_causal_system
+from support import flow_graph, random_causal_system
 
 TYPICAL = AmplifierParams.typical()
 
@@ -44,27 +44,24 @@ CASE2_EDGES = [
 
 def test_from_linear_system_single_edge():
     g = sfg.from_linear_system([("y", [(3.0, "x")])])
-    assert g.nodes == ("x", "y")
-    assert g.edges == (("x", "y", 3.0),)
+    assert g == {"x": {"y": 3.0}, "y": {}}
 
 
 def test_from_linear_system_self_loop():
     g = sfg.from_linear_system([("y", [(2.0, "x"), (0.5, "y")])])
-    assert g.gain("y", "y") == 0.5
+    assert g["y"]["y"] == 0.5
     loops = sfg.enumerate_loops(g)
-    assert loops == [sfg.Loop(("y",), 0.5)]
+    assert loops == [(("y",), 0.5)]
 
 
 def test_from_linear_system_pre_sums_parallel_terms():
     g = sfg.from_linear_system([("y", [(2.0, "x"), (3.0, "x")])])
-    assert g.edges == (("x", "y", 5.0),)
+    assert g == {"x": {"y": 5.0}, "y": {}}
 
 
 def test_from_linear_system_keeps_a_variable_defined_by_no_terms():
     g = sfg.from_linear_system([("y", [(3.0, "x")]), ("z", [])])
-    assert g.nodes == ("x", "y", "z")
-    assert g.edges == (("x", "y", 3.0),)
-    assert g.adjacency() == {"x": {"y": 3.0}, "y": {}, "z": {}}
+    assert g == {"x": {"y": 3.0}, "y": {}, "z": {}}
 
 
 def test_multiple_definitions_rejected():
@@ -72,46 +69,52 @@ def test_multiple_definitions_rejected():
         sfg.from_linear_system([("y", [(1.0, "x")]), ("y", [(2.0, "x")])])
 
 
+@pytest.mark.parametrize("gain", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_gain_rejected(gain):
+    with pytest.raises(ValueError, match="^edge x->y gain must be finite$"):
+        sfg.from_linear_system([("z", [(1.0, "y")]), ("y", [(2.0, "w"), (gain, "x")])])
+
+
 def test_acyclic_graph_has_no_loops_and_unit_determinant():
-    g = sfg.FlowGraph([("a", "b", 2.0), ("b", "c", 3.0)])
+    g = flow_graph([("a", "b", 2.0), ("b", "c", 3.0)])
     assert sfg.enumerate_loops(g) == []
     assert sfg.graph_determinant(g) == 1.0
 
 
 def test_case1_graph_has_the_three_determinant_loops():
     loops = sfg.enumerate_loops(crosscheck.case1_flow_graph(TYPICAL))
-    assert [l.nodes for l in loops] == [
+    assert [nodes for nodes, _ in loops] == [
         ("i_o", "v_c"),
         ("i_o", "v_c", "v_pi"),
         ("i_o", "v_diff", "v_pi"),
     ]
-    gains = [l.gain for l in loops]
+    gains = [gain for _, gain in loops]
     assert gains[0] == pytest.approx(-0.01, rel=1e-12)
     assert gains[1] == pytest.approx(-0.20099502487562187, rel=1e-12)
     assert gains[2] == pytest.approx(-200.99502487562188, rel=1e-12)
 
 
 def test_disjoint_two_cycles_do_not_touch():
-    g = sfg.FlowGraph(
+    g = flow_graph(
         [("a", "b", 1.0), ("b", "a", 0.5), ("c", "d", 2.0), ("d", "c", 0.25)]
     )
     loops = sfg.enumerate_loops(g)
     assert len(loops) == 2
-    assert not loops[0].touches(loops[1])
+    assert set(loops[0][0]).isdisjoint(loops[1][0])
     # determinant of two non-touching loops: 1 - a - b + a*b
-    a, b = loops[0].gain, loops[1].gain
+    a, b = loops[0][1], loops[1][1]
     assert sfg.graph_determinant(g) == pytest.approx(1 - a - b + a * b, rel=1e-12)
 
 
 def test_case1_forward_paths():
     paths = sfg.enumerate_forward_paths(crosscheck.case1_flow_graph(TYPICAL), "v_x", "i_x")
-    assert [p.nodes for p in paths] == [
+    assert [nodes for nodes, _ in paths] == [
         ("v_x", "i_o", "v_c", "i_x"),
         ("v_x", "i_o", "v_c", "v_pi", "i_x"),
         ("v_x", "i_o", "v_diff", "v_pi", "i_x"),
         ("v_x", "i_x"),
     ]
-    gains = sorted(abs(p.gain) for p in paths)
+    gains = sorted(abs(gain) for _, gain in paths)
     expected = sorted([1e-5, 1e-7, 1.990049751243781e-06, 1.990049751243781e-03])
     assert gains == pytest.approx(expected, rel=1e-12)
 
@@ -126,22 +129,22 @@ def test_case2_forward_paths_and_determinant():
 
 
 def test_disconnected_endpoints_give_no_paths():
-    g = sfg.FlowGraph([("a", "b", 1.0), ("c", "d", 1.0)])
+    g = flow_graph([("a", "b", 1.0), ("c", "d", 1.0)])
     assert sfg.enumerate_forward_paths(g, "a", "d") == []
 
 
 def test_single_edge_gain():
-    g = sfg.FlowGraph([("a", "b", 2.5)])
+    g = flow_graph([("a", "b", 2.5)])
     assert sfg.mason_gain(g, "a", "b") == 2.5
 
 
 def test_untouched_self_loop_cancels():
-    g = sfg.FlowGraph([("src", "dst", 4.0), ("z", "z", 0.5), ("src", "z", 1.0)])
+    g = flow_graph([("src", "dst", 4.0), ("z", "z", 0.5), ("src", "z", 1.0)])
     assert sfg.mason_gain(g, "src", "dst") == pytest.approx(4.0, rel=1e-15)
 
 
 def test_chain_rule_is_exact():
-    g = sfg.FlowGraph([("a", "b", 1.25), ("b", "c", -3.0), ("c", "d", 0.2)])
+    g = flow_graph([("a", "b", 1.25), ("b", "c", -3.0), ("c", "d", 0.2)])
     assert sfg.mason_gain(g, "a", "d") == 1.25 * -3.0 * 0.2
 
 
@@ -150,7 +153,7 @@ def test_single_loop_identity():
     for _ in range(50):
         p = float(rng.uniform(-2, 2))
         l = float(rng.uniform(-0.9, 0.9))
-        g = sfg.FlowGraph([("s", "m", p), ("m", "m", l), ("m", "d", 1.0)])
+        g = flow_graph([("s", "m", p), ("m", "m", l), ("m", "d", 1.0)])
         assert sfg.mason_gain(g, "s", "d") == pytest.approx(p / (1 - l), rel=1e-12)
 
 
@@ -160,7 +163,7 @@ def test_case1_transmission_matches_model_impedance():
 
 
 def test_zero_determinant_raises():
-    g = sfg.FlowGraph([("s", "x", 2.0), ("x", "x", 1.0), ("x", "d", 1.0)])
+    g = flow_graph([("s", "x", 2.0), ("x", "x", 1.0), ("x", "d", 1.0)])
     with pytest.raises(sfg.ZeroDeterminant):
         sfg.mason_gain(g, "s", "d")
 
@@ -170,7 +173,7 @@ def test_zero_determinant_raises():
 @pytest.mark.parametrize("untouched", [[], [("w", "w", -1.0)]])
 def test_determinant_of_rounding_residue_raises_on_both_routes(untouched):
     # D = 1 - 0.7 - 0.3 is 5.6e-17 in floating point, not 0
-    g = sfg.FlowGraph([("s", "x", 1.0), ("x", "x", 0.7), ("x", "z", 1.0),
+    g = flow_graph([("s", "x", 1.0), ("x", "x", 0.7), ("x", "z", 1.0),
                        ("z", "x", 0.3), ("x", "d", 1.0)] + untouched)
     assert 0.0 < abs(sfg.graph_determinant(g)) < 1e-15
     with pytest.raises(sfg.ZeroDeterminant):
@@ -182,7 +185,7 @@ def test_determinant_of_rounding_residue_raises_on_both_routes(untouched):
 def test_enumeration_cap_is_an_error_not_truncation(monkeypatch):
     nodes = [f"n{i}" for i in range(6)]
     edges = [(a, b, 0.1) for a in nodes for b in nodes if a != b]
-    g = sfg.FlowGraph(edges)
+    g = flow_graph(edges)
     monkeypatch.setattr(sfg, "DEFAULT_CAP", 5)
     with pytest.raises(sfg.LimitExceeded, match="more than 5 loops; use elimination_gain"):
         sfg.enumerate_loops(g)
@@ -197,41 +200,41 @@ def test_enumeration_cap_is_an_error_not_truncation(monkeypatch):
                           st.floats(-2.0, 2.0)), max_size=12),
        st.permutations("abcde"))
 def test_walks_match_a_brute_force_enumeration(edges, order):
-    g = sfg.FlowGraph(edges)
-    present = {(u, v) for u, v, _ in g.edges}
+    g = flow_graph(edges)
+    present = {(u, v) for u, outs in g.items() for v in outs}
 
     def gain(nodes):
         total = 1.0
         for u, v in zip(nodes, nodes[1:]):
             if (u, v) not in present:
                 return None
-            total *= g.gain(u, v)
+            total *= g[u][v]
         return total
 
-    sequences = [p for k in range(1, 6) for p in itertools.permutations(g.nodes, k)]
-    loops = [sfg.Loop(p, gain(p + p[:1])) for p in sequences
+    sequences = [p for k in range(1, 6) for p in itertools.permutations(g, k)]
+    loops = [(p, gain(p + p[:1])) for p in sequences
              if p[0] == min(p) and gain(p + p[:1]) is not None]
     src, dst = order[:2]
-    paths = [sfg.Path(p, gain(p)) for p in sequences
+    paths = [(p, gain(p)) for p in sequences
              if len(p) > 1 and p[0] == src and p[-1] == dst and gain(p) is not None]
-    assert sfg.enumerate_loops(g) == sorted(loops, key=lambda l: l.nodes)
-    assert sfg.enumerate_forward_paths(g, src, dst) == sorted(paths, key=lambda p: p.nodes)
+    assert sfg.enumerate_loops(g) == sorted(loops)
+    assert sfg.enumerate_forward_paths(g, src, dst) == sorted(paths)
 
 
 def test_identical_endpoints_rejected():
-    g = sfg.FlowGraph([("a", "b", 1.0)])
+    g = flow_graph([("a", "b", 1.0)])
     with pytest.raises(ValueError):
         sfg.enumerate_forward_paths(g, "a", "a")
 
 
 def test_hand_typed_golden_graphs_match_programmatic_ones():
-    g1 = sfg.FlowGraph(CASE1_EDGES)
+    g1 = flow_graph(CASE1_EDGES)
     gain = sfg.mason_gain(g1, "v_x", "i_x")
     assert 1.0 / gain == pytest.approx(6758132.690389, rel=1e-9)
     prog = sfg.mason_gain(crosscheck.case1_flow_graph(TYPICAL), "v_x", "i_x")
     assert gain == pytest.approx(prog, rel=1e-9)
 
-    g2 = sfg.FlowGraph(CASE2_EDGES)
+    g2 = flow_graph(CASE2_EDGES)
     assert sfg.mason_gain(g2, "i_x", "v_x") == pytest.approx(956986.6698405, rel=1e-9)
 
 
