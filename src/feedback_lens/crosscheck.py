@@ -241,9 +241,10 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.Graph:
 
 def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
-    probed nodal system; independent second route to the nodal solve.  A
-    bad port raises as in ``mna.probed_system``."""
-    system = mna.probed_system(lc, port)
+    probed nodal system of ``mna.seen_at(lc, port)``; a second route to the
+    nodal solve from the same reduced circuit.  A bad port raises as in
+    ``mna.probed_system``."""
+    system = mna.probed_system(mna.seen_at(lc, port), port)
     gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE,
                                 f"I({mna.TEST_SOURCE})")
     return mna.impedance_from_current(-gain, lc, port)

@@ -232,9 +232,10 @@ def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     ``_eliminate`` the pivot row of the last column holds no other entry,
     and the current is that row's right-hand side over its pivot: the value
     ``solve`` would give, without back substitution of the other unknowns.
-    A bad port raises as in ``probed_system``."""
+    The probe is of ``seen_at(lc, port)``, whose nodes are few.  A bad port
+    raises as in ``probed_system``."""
     with localcontext(DECIMAL):
-        _, b, pivots = _eliminate(probed_system(lc, port))
+        _, b, pivots = _eliminate(probed_system(seen_at(lc, port), port))
         row, pivot = pivots[-1]
         delivered = -float(b[row] / pivot)
     return impedance_from_current(delivered, lc, port)
@@ -256,8 +257,9 @@ def reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
         for e in lc.elements:
             if not isinstance(e, Resistor):
                 raise ValueError(f"cannot reduce {e.name}: the network must be purely resistive")
-            if e.n1 != e.n2:
-                g = adjacent[e.n1].get(e.n2, _ZERO) + 1 / Decimal(e.ohms)
+            # an infinite resistance joins nothing, as assemble drops its zero
+            if e.n1 != e.n2 and (g := 1 / Decimal(e.ohms)):
+                g += adjacent[e.n1].get(e.n2, _ZERO)
                 adjacent[e.n1][e.n2] = adjacent[e.n2][e.n1] = g
         heap = sorted((len(nbrs), v) for v, nbrs in adjacent.items() if v not in keep)
         while heap:
@@ -278,3 +280,16 @@ def reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
                     for a, nbrs in sorted(adjacent.items()) for b, g in nbrs.items() if a < b]
     elements += (Resistor(f"{a}~", a, a, math.inf) for a, nbrs in adjacent.items() if not nbrs)
     return Circuit(tuple(elements))
+
+
+def seen_at(lc: Circuit, port: tuple[str, str]) -> Circuit:
+    """``lc`` as ``port`` sees it: every node that only resistors touch,
+    other than ground and the port's, is reduced away by ``reduce_onto``,
+    and every terminal of any other element, control nodes included, stays.
+    With nothing to reduce it is ``lc`` itself."""
+    others = tuple(e for e in lc.elements if not isinstance(e, Resistor))
+    keep = {GROUND, *port}.union(*(e.terminals for e in others))
+    if keep >= lc.nodes:
+        return lc
+    resistors = Circuit(tuple(e for e in lc.elements if isinstance(e, Resistor)))
+    return Circuit(others + reduce_onto(resistors, keep).elements)

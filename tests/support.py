@@ -4,9 +4,11 @@ The impedance oracle here deliberately avoids the package's stamping,
 macro expansion and elimination code: it stamps the macro-level circuit
 straight into an exact ``Fraction`` node-conductance matrix, with no
 branch-current unknown, giving a second route for every driving-point
-check.  ``reference_elimination_gain`` keeps the plain form of
-``sfg.elimination_gain``, which ranks every remaining node afresh at each
-step, so the incremental one can be held equal to it.
+check.  ``unreduced_impedance`` probes a circuit without the port
+reduction that both impedance routes share.  ``reference_elimination_gain``
+keeps the plain form of ``sfg.elimination_gain``, which ranks every
+remaining node afresh at each step, so the incremental one can be held
+equal to it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from feedback_lens import sfg
+from feedback_lens import mna, sfg
 from feedback_lens.feedback import AmplifierParams
 from feedback_lens.netlist import GROUND, BjtPi, Circuit, OpAmp, PortAnnotations, Resistor, Vccs
 from feedback_lens.smallsignal import linearize
@@ -102,6 +104,13 @@ def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
                     r[j] -= factor * rows[k][j]
     volts = {node: rows[i][-1] / rows[i][i] for node, i in index.items()} | {GROUND: 0}
     return float(volts[port[0]] - volts[port[1]])
+
+
+def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
+    """``mna.driving_point_impedance`` of ``lc`` itself, not of
+    ``mna.seen_at(lc, port)``: every unknown of its probed system solved."""
+    solution = mna.solve(mna.probed_system(lc, port))
+    return mna.impedance_from_current(-solution.branch_currents[mna.TEST_SOURCE], lc, port)
 
 
 def draw_params(rng: np.random.Generator, **fixed) -> AmplifierParams:

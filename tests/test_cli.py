@@ -118,6 +118,36 @@ def test_impedance_all_engines_case2_pattern(capsys, netlists_dir):
     assert payload["closed_form"] == pytest.approx(1005025.0, rel=1e-6)
 
 
+# Two netlists on which the flow graph of the whole probed system goes
+# wrong: 1.348768 Ohm with no error on the mesh, ZeroDeterminant on the
+# chain.  Both routes probe the port-reduced circuit, where neither happens.
+ACTIVE_MESH = """R1 n1 0 10
+R2 n2 0 10
+R3 n3 0 10
+R4 n4 0 10
+R5 n5 0 10
+R6 n6 n4 100k
+R7 n7 n1 10M
+RC0 n2 n7 10
+RC1 n3 n6 10
+G1 n1 n6 n2 n4 1
+Q1 0 n2 n3 gm=1 rpi=10 ro=10
+X1 0 n1 n4 K=10k rout=10
+"""
+RESISTOR_CHAIN = "R1 n1 0 10\nR3 n3 n1 10\nR4 n4 n3 10\nR8 n8 n4 100\n"
+
+
+@pytest.mark.parametrize("text, port, ohms", [
+    (ACTIVE_MESH, ("0", "n3"), "1.333609e+00"),
+    (RESISTOR_CHAIN, ("n4", "n1"), "2.000000e+01"),
+], ids=["active-mesh", "resistor-chain"])
+def test_impedance_all_engines_on_the_port_reduced_circuit(capsys, tmp_path, text, port, ohms):
+    net = tmp_path / "mesh.net"
+    net.write_text(text)
+    code, out, err = run(capsys, "impedance", str(net), "--port", *port, "--all-engines")
+    assert (code, out, err) == (0, f"mna           {ohms} Ω\nmason         {ohms} Ω\n", "")
+
+
 def test_impedance_unknown_node(capsys, netlists_dir):
     code, _, err = run(capsys, "impedance", str(netlists_dir / "fig7.net"), "--port", "zz", "0")
     assert code == 1 and "unknown node" in err

@@ -126,14 +126,16 @@ def test_elimination_edge_cases():
 
 @pytest.mark.parametrize("n_nodes", [40, 80])
 def test_flow_graph_impedance_on_large_meshes(n_nodes):
-    # enumeration raised LimitExceeded on meshes this size
+    # enumeration raised LimitExceeded on meshes this size; the flow graph
+    # is of the whole probed mesh, which the impedance routes would reduce
     rng = np.random.default_rng(n_nodes)
     for _ in range(3):
         mesh = random_resistor_mesh(rng, n_nodes=n_nodes)
+        system = mna.probed_system(mesh, ("n1", GROUND))
+        gain = sfg.elimination_gain(cc.flow_graph_of_system(system), cc.SYSTEM_SOURCE,
+                                    f"I({mna.TEST_SOURCE})")
         direct = mna.driving_point_impedance(mesh, ("n1", GROUND))
-        assert cc.mason_driving_point_impedance(mesh, ("n1", GROUND)) == pytest.approx(
-            direct, rel=1e-6
-        )
+        assert -1 / gain == pytest.approx(direct, rel=1e-6)
 
 
 def test_non_finite_coefficient_ratio_rejected():

@@ -22,7 +22,8 @@ from feedback_lens.netlist import (
     parse_netlist_file,
 )
 from feedback_lens.smallsignal import linearize, restrict
-from support import draw_params, feedback_amplifiers, fig3_amplifier, resistor_meshes
+from support import (draw_params, feedback_amplifiers, fig3_amplifier, resistor_meshes,
+                     unreduced_impedance)
 
 TYPICAL = AmplifierParams.typical()
 
@@ -362,6 +363,15 @@ def assert_same_loading(got, expected, topo):
         assert got.f == pytest.approx(expected.f, rel=1e-12, abs=0.0)
 
 
+def whole_network_loading(net, topo, input_side, output_side):
+    """``fb.loading_effect`` with R_if from ``unreduced_impedance``: its probe
+    reduces nothing, where ``mna.driving_point_impedance`` would."""
+    loading = fb.loading_effect(net, topo, input_side, output_side)
+    probe = net if topo.output_sense is Mixing.SERIES else net.with_elements(
+        VSource("__short", output_side[0], output_side[1], 0.0))
+    return replace(loading, R_if=unreduced_impedance(probe, input_side))
+
+
 @settings(deadline=None)
 @given(circuit=feedback_amplifiers(islands=True))
 def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
@@ -370,7 +380,8 @@ def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
     input_side, output_side = fb._classify(circuit)[1:]
     whole = restrict(circuit, circuit.annotations.feedback_elements)
     assert_same_loading(outcome(fb.loading_of_circuit, circuit),
-                        outcome(fb.loading_effect, whole, topo, input_side, output_side), topo)
+                        outcome(whole_network_loading, whole, topo, input_side, output_side),
+                        topo)
 
 
 @st.composite
@@ -400,7 +411,7 @@ def test_loading_of_the_reduced_network_equals_loading_of_the_whole(topo, case):
     net, input_side, output_side = case
     reduced = mna.reduce_onto(net, {GROUND, *input_side, *output_side})
     assert_same_loading(outcome(fb.loading_effect, reduced, topo, input_side, output_side),
-                        outcome(fb.loading_effect, net, topo, input_side, output_side), topo)
+                        outcome(whole_network_loading, net, topo, input_side, output_side), topo)
 
 
 def test_loading_with_both_ports_returned_to_a_node_outside_the_network():
@@ -415,9 +426,8 @@ def test_loading_with_both_ports_returned_to_a_node_outside_the_network():
         whole, fb.classify_topology(circuit), input_side, output_side)
 
 
-def test_loading_solves_only_systems_of_the_reduced_network(monkeypatch):
-    # an 80-node resistive mesh as fig3a's feedback network: every nodal
-    # system loading assembles is a probe of its three-node equivalent
+def mesh_feedback_fig3a() -> Circuit:
+    """fig3a with an 80-node resistive mesh as its feedback network."""
     rng = np.random.default_rng(80)
     nodes = ["c", "b"] + [f"f{i}" for i in range(1, 79)]
     pairs = [(a, nodes[int(rng.integers(0, i))]) for i, a in enumerate(nodes) if i]
@@ -427,6 +437,11 @@ def test_loading_solves_only_systems_of_the_reduced_network(monkeypatch):
     device = (TYPICAL.g_m, TYPICAL.r_pi, TYPICAL.r_o)
     circuit = fig3_amplifier("fig3a", (device, device), (4.7e3, 4.7e3), feedback)
     assert len(circuit.nodes - {GROUND}) == 80
+    return circuit
+
+
+def assembled_dimensions(monkeypatch) -> list[int]:
+    """The dimension of each system ``mna.assemble`` builds from now on."""
     dimensions = []
     assemble = mna.assemble
 
@@ -436,9 +451,29 @@ def test_loading_solves_only_systems_of_the_reduced_network(monkeypatch):
         return system
 
     monkeypatch.setattr(mna, "assemble", counted)
+    return dimensions
+
+
+def test_loading_solves_only_systems_of_the_reduced_network(monkeypatch):
+    # every nodal system loading assembles is a probe of the mesh's
+    # three-node equivalent
+    circuit = mesh_feedback_fig3a()
+    dimensions = assembled_dimensions(monkeypatch)
     loading = fb.loading_of_circuit(circuit)
     assert all(map(math.isfinite, (loading.R_if, loading.R_of, loading.f)))
     assert dimensions and max(dimensions) <= 7
+
+
+@pytest.mark.parametrize("route", [mna.driving_point_impedance,
+                                   crosscheck.mason_driving_point_impedance])
+def test_impedance_solves_only_systems_of_the_port_reduced_circuit(monkeypatch, route):
+    # the mesh's 78 inner nodes are reduced away before either route probes
+    circuit = mesh_feedback_fig3a()
+    lc = linearize(circuit)
+    dimensions = assembled_dimensions(monkeypatch)
+    for port in (circuit.annotations.input_port, circuit.annotations.output_port):
+        assert math.isfinite(route(lc, port))
+    assert dimensions and max(dimensions) <= 8
 
 
 def test_loading_of_circuit_on_bridge_fixture(netlists_dir):

@@ -3,16 +3,17 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import given, reject, settings
 
 from feedback_lens import crosscheck as cc, mna
-from feedback_lens.feedback import _classify, loading_of_circuit
+from feedback_lens.feedback import AmplifierParams, _classify, loading_of_circuit
 from feedback_lens.netlist import (
     GROUND, BjtPi, Circuit, ISource, OpAmp, Resistor, Vccs, Vcvs, VSource, parse_netlist,
 )
 from feedback_lens.smallsignal import linearize, restrict
 
-from support import active_meshes, conductance_impedance_oracle, random_resistor_mesh
+from support import (active_meshes, conductance_impedance_oracle, feedback_amplifiers,
+                     random_resistor_mesh, unreduced_impedance)
 
 # Nodal solutions of the two measurement models, computed from their node
 # equations with an independent numpy solve before the solver was written.
@@ -266,7 +267,8 @@ def test_case2_model_impedance(netlists_dir):
 @given(active_meshes())
 def test_driving_point_equals_the_full_solve(case):
     # reading the test branch after forward elimination is the full solve's
-    # back substitution of that one unknown: equal to the bit
+    # back substitution of that one unknown, and the port reduction before
+    # it keeps 34 digits: equal to the bit
     _, lc, port = case
 
     def outcome(route):
@@ -275,11 +277,8 @@ def test_driving_point_equals_the_full_solve(case):
         except mna.SingularMatrix:
             return "SingularMatrix"
 
-    def full_solve():
-        solution = mna.solve(mna.probed_system(lc, port))
-        return mna.impedance_from_current(-solution.branch_currents[mna.TEST_SOURCE], lc, port)
-
-    assert outcome(lambda: mna.driving_point_impedance(lc, port)) == outcome(full_solve)
+    assert (outcome(lambda: mna.driving_point_impedance(lc, port))
+            == outcome(lambda: unreduced_impedance(lc, port)))
 
 
 @given(active_meshes())
@@ -488,4 +487,49 @@ def test_reduce_preserves_the_driving_point_of_random_meshes():
         assert reduced.nodes == {GROUND, "n1", "n2"}
         for port in (("n1", GROUND), ("n2", "n1")):
             assert mna.driving_point_impedance(reduced, port) == pytest.approx(
-                mna.driving_point_impedance(mesh, port), rel=1e-14)
+                unreduced_impedance(mesh, port), rel=1e-14)
+
+
+def test_reduce_drops_resistors_of_infinite_ohms():
+    # m is joined to a and b only through infinite resistances: it floats
+    lc = network(("a", GROUND, 1e3), ("a", "m", math.inf), ("m", "b", math.inf),
+                 ("b", GROUND, 1e3))
+    assert equivalents(mna.reduce_onto(lc, {"a", GROUND})) == {
+        frozenset(("a", GROUND)): 1e3, frozenset("m"): math.inf}
+    with pytest.raises(mna.SingularMatrix, match=r"^zero row in system matrix for V\(m\)$"):
+        mna.driving_point_impedance(lc, ("a", GROUND))
+    with pytest.raises(mna.SingularMatrix, match="structurally singular"):
+        cc.mason_driving_point_impedance(lc, ("a", GROUND))
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("r_in", [math.inf, 1e6])
+def test_a_circuit_with_nothing_to_reduce_is_seen_as_itself(case, r_in):
+    build = (cc.build_case1_circuit, cc.build_case2_circuit)[case - 1]
+    lc = build(AmplifierParams.typical(R_in=r_in))
+    assert mna.seen_at(lc, (cc.CASE1_PORT, cc.CASE2_PORT)[case - 1]) is lc
+
+
+def test_seen_at_keeps_the_control_nodes_of_a_vcvs():
+    # cp touches only resistors and E1's control input; m only resistors
+    lc = Circuit((Resistor("R1", "in", "m", 1e3), Resistor("R2", "m", "cp", 2e3),
+                  Resistor("R3", "cp", GROUND, 3e3), Vcvs("E1", "out", GROUND, "cp", GROUND, -10.0),
+                  Resistor("R4", "out", "in", 1e4)))
+    port = ("in", GROUND)
+    assert mna.seen_at(lc, port).nodes == {GROUND, "in", "cp", "out"}
+    assert mna.driving_point_impedance(lc, port) == pytest.approx(
+        unreduced_impedance(lc, port), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("side", ["input_port", "output_port"])
+@settings(deadline=None)
+@given(circuit=feedback_amplifiers())
+def test_impedance_of_the_port_reduced_circuit_matches_the_exact_oracle(side, circuit):
+    # the feedback network's inner nodes are reduced away before the probe
+    port = getattr(circuit.annotations, side)
+    try:
+        expected = conductance_impedance_oracle(circuit, port)
+    except ZeroDivisionError:
+        reject()  # the oracle's node matrix is singular
+    assert mna.driving_point_impedance(linearize(circuit), port) == pytest.approx(
+        expected, rel=1e-12, abs=0)
