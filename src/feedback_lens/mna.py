@@ -218,7 +218,8 @@ def impedance_from_current(delivered: float, lc: Circuit,
     current, reads ``math.inf``.  Openness is decided from the circuit's
     structure because an open port's solved current is rounding residue,
     which no threshold tells apart from the current of a real port of high
-    impedance beside a large conductance."""
+    impedance beside a large conductance.  The impedance routes pass the
+    ``seen_at`` view they probed."""
     if delivered == 0.0 or port_is_open(lc, port):
         return math.inf
     return 1.0 / delivered
@@ -232,35 +233,50 @@ def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     ``_eliminate`` the pivot row of the last column holds no other entry,
     and the current is that row's right-hand side over its pivot: the value
     ``solve`` would give, without back substitution of the other unknowns.
-    The probe is of ``seen_at(lc, port)``, whose nodes are few.  A bad port
-    raises as in ``probed_system``."""
+    The probe, and the openness of the port, are of ``seen_at(lc, port)``,
+    whose nodes are few.  A bad port raises as in ``probed_system``."""
+    view = seen_at(lc, port)
     with localcontext(DECIMAL):
-        _, b, pivots = _eliminate(probed_system(seen_at(lc, port), port))
+        _, b, pivots = _eliminate(probed_system(view, port))
         row, pivot = pivots[-1]
         delivered = -float(b[row] / pivot)
-    return impedance_from_current(delivered, lc, port)
+    return impedance_from_current(delivered, view, port)
 
 
 def reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
     """The purely resistive ``lc`` seen at its nodes in ``keep``: one
     resistor per joined pair of them.  Each other node goes, fewest
-    neighbours first, by the star-mesh transform (Kron reduction: Gaussian
-    elimination of the conductance matrix), giving each pair a, b of its
-    neighbours g_a * g_b / sum(g), in ``DECIMAL``.  Each resistor keeps its
-    ohms as that ``Decimal``, so nothing is rounded to float before a nodal
-    solve.  A node left with no neighbour stays, as a self-looped resistor
-    of infinite ohms: a kept one reads open, and a floating island leaves a
-    nodal solve ``SingularMatrix`` as in ``lc``.  Any other element raises
-    ``ValueError``."""
-    adjacent: dict[str, dict[str, Decimal]] = {n: {} for n in lc.nodes}
+    neighbours first: a dangling one (one neighbour, cascading) with no
+    arithmetic, then the rest by the star-mesh transform (Kron reduction:
+    Gaussian elimination of the conductance matrix), giving each pair a, b
+    of its neighbours g_a * g_b / sum(g), in ``DECIMAL``.  Only a surviving
+    edge is converted, once, summed over its parallel resistors.  Each
+    resistor keeps its ohms as that ``Decimal``, so nothing is rounded to
+    float before a nodal solve.  A node left with no neighbour stays, as a
+    self-looped resistor of infinite ohms: a kept one reads open, and a
+    floating island leaves a nodal solve ``SingularMatrix`` as in ``lc``.
+    Any other element raises ``ValueError``."""
+    ohms: dict[str, dict[str, list]] = {n: {} for n in lc.nodes}
+    for e in lc.elements:
+        if not isinstance(e, Resistor):
+            raise ValueError(f"cannot reduce {e.name}: the network must be purely resistive")
+        # an infinite resistance joins nothing, as assemble drops its zero
+        if e.n1 != e.n2 and e.ohms not in (math.inf, -math.inf):
+            ohms[e.n1].setdefault(e.n2, []).append(e.ohms)
+            ohms[e.n2][e.n1] = ohms[e.n1][e.n2]
+    leaves = [v for v, nbrs in sorted(ohms.items()) if len(nbrs) == 1 and v not in keep]
+    while leaves:
+        v = heappop(leaves)
+        if len(ohms[v]) == 1:  # not stranded by its neighbour going first
+            (a,) = ohms.pop(v)
+            del ohms[a][v]
+            if len(ohms[a]) == 1 and a not in keep:
+                heappush(leaves, a)
     with localcontext(DECIMAL):
-        for e in lc.elements:
-            if not isinstance(e, Resistor):
-                raise ValueError(f"cannot reduce {e.name}: the network must be purely resistive")
-            # an infinite resistance joins nothing, as assemble drops its zero
-            if e.n1 != e.n2 and (g := 1 / Decimal(e.ohms)):
-                g += adjacent[e.n1].get(e.n2, _ZERO)
-                adjacent[e.n1][e.n2] = adjacent[e.n2][e.n1] = g
+        adjacent: dict[str, dict[str, Decimal]] = {}
+        for v, nbrs in ohms.items():
+            adjacent[v] = {a: adjacent[a][v] if a in adjacent else sum(1 / Decimal(r) for r in rs)
+                           for a, rs in nbrs.items()}
         heap = sorted((len(nbrs), v) for v, nbrs in adjacent.items() if v not in keep)
         while heap:
             degree, v = heappop(heap)
@@ -286,10 +302,17 @@ def seen_at(lc: Circuit, port: tuple[str, str]) -> Circuit:
     """``lc`` as ``port`` sees it: every node that only resistors touch,
     other than ground and the port's, is reduced away by ``reduce_onto``,
     and every terminal of any other element, control nodes included, stays.
-    With nothing to reduce it is ``lc`` itself."""
+    Two kept nodes are joined in the view exactly when finite resistances
+    or other elements join them in ``lc``, so its openness is the port's.
+    With nothing to reduce it is ``lc`` itself; else ``lc`` keeps it by
+    port, and a second route probing ``lc`` at ``port`` reuses it."""
+    views = vars(lc).setdefault("_seen_at", {})
+    if (key := tuple(port)) in views:
+        return views[key]
     others = tuple(e for e in lc.elements if not isinstance(e, Resistor))
     keep = {GROUND, *port}.union(*(e.terminals for e in others))
     if keep >= lc.nodes:
         return lc
     resistors = Circuit(tuple(e for e in lc.elements if isinstance(e, Resistor)))
-    return Circuit(others + reduce_onto(resistors, keep).elements)
+    views[key] = Circuit(others + reduce_onto(resistors, keep).elements)
+    return views[key]

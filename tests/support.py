@@ -8,12 +8,18 @@ check.  ``unreduced_impedance`` probes a circuit without the port
 reduction that both impedance routes share.  ``reference_elimination_gain``
 keeps the plain form of ``sfg.elimination_gain``, which ranks every
 remaining node afresh at each step, so the incremental one can be held
-equal to it.
+equal to it; ``reference_reduce_onto`` keeps the form of
+``mna.reduce_onto`` that converts every resistor before it removes any
+node, so the pruning one can be held equal to it.
 """
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -111,6 +117,15 @@ def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     ``mna.seen_at(lc, port)``: every unknown of its probed system solved."""
     solution = mna.solve(mna.probed_system(lc, port))
     return mna.impedance_from_current(-solution.branch_currents[mna.TEST_SOURCE], lc, port)
+
+
+def outcome(measure, *args):
+    """``measure(*args)``, or the class of the ``SingularMatrix`` or
+    ``UnknownNode`` it raised."""
+    try:
+        return measure(*args)
+    except (mna.SingularMatrix, mna.UnknownNode) as exc:
+        return type(exc)
 
 
 def draw_params(rng: np.random.Generator, **fixed) -> AmplifierParams:
@@ -318,3 +333,51 @@ def reference_elimination_gain(graph: sfg.Graph, src: str, dst: str) -> float:
                 gain = succ[u].get(w, 0.0) + into * out
                 succ[u][w] = pred[w][u] = gain
     return succ[source].get(sink, 0.0)
+
+
+def reference_reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
+    """``mna.reduce_onto`` converting every resistor to a ``Decimal``
+    conductance before any node goes, dangling ones included."""
+    adjacent: dict[str, dict[str, Decimal]] = {n: {} for n in lc.nodes}
+    with localcontext(mna.DECIMAL):
+        for e in lc.elements:
+            if not isinstance(e, Resistor):
+                raise ValueError(f"cannot reduce {e.name}: the network must be purely resistive")
+            if e.n1 != e.n2 and (g := 1 / Decimal(e.ohms)):
+                g += adjacent[e.n1].get(e.n2, Decimal(0))
+                adjacent[e.n1][e.n2] = adjacent[e.n2][e.n1] = g
+        heap = sorted((len(nbrs), v) for v, nbrs in adjacent.items() if v not in keep)
+        while heap:
+            degree, v = heappop(heap)
+            if not degree or len(adjacent.get(v, ())) != degree:
+                continue
+            nbrs = adjacent.pop(v)
+            total = sum(nbrs.values())
+            for a in nbrs:
+                del adjacent[a][v]
+            for a, b in combinations(nbrs, 2):
+                g = adjacent[a].get(b, Decimal(0)) + nbrs[a] * nbrs[b] / total
+                adjacent[a][b] = adjacent[b][a] = g
+            for a in nbrs:
+                if a not in keep:
+                    heappush(heap, (len(adjacent[a]), a))
+        elements = [Resistor(f"{a}~{b}", a, b, 1 / g)
+                    for a, nbrs in sorted(adjacent.items()) for b, g in nbrs.items() if a < b]
+    elements += (Resistor(f"{a}~", a, a, math.inf) for a, nbrs in adjacent.items() if not nbrs)
+    return Circuit(tuple(elements))
+
+
+@st.composite
+def resistive_networks(draw):
+    """Resistors over [10, 1e7] ohms or infinite on ground and up to nine
+    more nodes, with a set of nodes to keep: a random forest whose trees
+    dangle or float, then chords that may be parallel resistors or
+    self-loops."""
+    names = [GROUND] + [f"n{i}" for i in range(draw(st.integers(1, 9)))]
+    ohms = decades(1, 7) | st.just(math.inf)
+    pairs = [(a, draw(st.sampled_from(names[:i]))) for i, a in enumerate(names)
+             if i and draw(st.integers(0, 3))]
+    node = st.sampled_from(names)
+    pairs += draw(st.lists(st.tuples(node, node), max_size=6))
+    lc = Circuit(tuple(Resistor(f"R{i}", a, b, draw(ohms)) for i, (a, b) in enumerate(pairs)))
+    return lc, set(draw(st.lists(node, max_size=4)))

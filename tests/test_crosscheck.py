@@ -1,18 +1,20 @@
 import itertools
 import json
+import math
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from feedback_lens import crosscheck as cc, mna
 from feedback_lens.feedback import AmplifierParams, exact_rx_case1, exact_rx_case2
-from feedback_lens.netlist import GROUND, parse_netlist_file
+from feedback_lens.netlist import GROUND, Circuit, ISource, Vcvs, VSource, parse_netlist_file
 from feedback_lens.smallsignal import linearize
 
-from support import amplifier_params, decades, draw_params, random_resistor_mesh
+from support import (amplifier_params, decades, draw_params, feedback_amplifiers,
+                     random_resistor_mesh)
 
 TYPICAL = AmplifierParams.typical()
 
@@ -240,3 +242,51 @@ def test_case2_flow_graph_rejects_zero_gain():
         cc.mason_rx(2, replace(TYPICAL, K=0.0))
     with pytest.raises(ValueError, match="K must be nonzero"):
         cc.run_case(2, replace(TYPICAL, K=0.0))
+
+
+# --------------------------------------------------------------------------
+# Blackman's impedance relation (Blackman, BSTJ 22, 1943)
+# --------------------------------------------------------------------------
+
+def blackman_impedance(lc: Circuit, port, reference: str) -> float:
+    """Z0 (1 + T_sc) / (1 + T_oc) at ``port`` of ``lc``, with its controlled
+    source ``reference`` as the reference element.  Z0 is the port's
+    impedance with the source's gain zeroed.  T, the return ratio, is minus
+    the control voltage that comes back when the source is replaced by an
+    independent one of its gain times a unit control; T_sc is taken with
+    the port shorted, T_oc with it open.  None of these three solves stamps
+    the reference source as controlled."""
+    source = lc.element(reference)
+    others = tuple(e for e in lc.elements if e is not source)
+    if isinstance(source, Vcvs):
+        zeroed = replace(source, gain=0.0)
+        independent = VSource(source.name, source.n1, source.n2, source.gain)
+    else:
+        zeroed = replace(source, gm=0.0)
+        independent = ISource(source.name, source.n1, source.n2, source.gm)
+    z0 = mna.driving_point_impedance(Circuit(others + (zeroed,)), port)
+
+    def return_ratio(*shunt):
+        driven = Circuit(others + (independent,) + shunt)
+        return -mna.solve(mna.assemble(driven)).across((source.cp, source.cn))
+
+    return z0 * (1 + return_ratio(VSource("short", *port, 0.0))) / (1 + return_ratio())
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@given(p=amplifier_params, r_in=st.just(math.inf) | decades(1, 7))
+def test_case_circuits_satisfy_blackmans_relation_in_the_op_amp_gain(case, p, r_in):
+    # a stamping error of the op-amp's Vcvs moves the direct probe alone
+    p = replace(p, R_in=r_in)
+    lc = (cc.build_case1_circuit, cc.build_case2_circuit)[case - 1](p)
+    port = (cc.CASE1_PORT, cc.CASE2_PORT)[case - 1]
+    assert blackman_impedance(lc, port, "eop") == pytest.approx(cc.mna_rx(case, p), rel=1e-9)
+
+
+@pytest.mark.parametrize("side", ["input_port", "output_port"])
+@settings(deadline=None)
+@given(circuit=feedback_amplifiers())
+def test_amplifiers_satisfy_blackmans_relation_in_the_transistor_gain(side, circuit):
+    lc, port = linearize(circuit), getattr(circuit.annotations, side)
+    assert blackman_impedance(lc, port, "Q1__gm") == pytest.approx(
+        mna.driving_point_impedance(lc, port), rel=1e-9)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from feedback_lens import crosscheck, feedback as fb, mna
+from feedback_lens import cli, crosscheck, feedback as fb, mna
 from feedback_lens.feedback import AmplifierParams, Mixing, Validity
 from feedback_lens.netlist import (
     GROUND,
@@ -20,9 +22,10 @@ from feedback_lens.netlist import (
     VSource,
     parse_netlist,
     parse_netlist_file,
+    serialize,
 )
 from feedback_lens.smallsignal import linearize, restrict
-from support import (draw_params, feedback_amplifiers, fig3_amplifier, resistor_meshes,
+from support import (draw_params, feedback_amplifiers, fig3_amplifier, outcome, resistor_meshes,
                      unreduced_impedance)
 
 TYPICAL = AmplifierParams.typical()
@@ -337,13 +340,6 @@ def test_output_side_outside_the_feedback_network_raises_unknown_node():
         fb.loading_effect(network, topo, ("a", GROUND), ("absent", GROUND))
 
 
-def outcome(measure, *args):
-    try:
-        return measure(*args)
-    except (mna.SingularMatrix, mna.UnknownNode) as exc:
-        return type(exc)
-
-
 def assert_same_loading(got, expected, topo):
     """``got`` and ``expected``, each a loading or the error ``outcome``
     gives, agree: the same error, or each value within 1e-12."""
@@ -474,6 +470,61 @@ def test_impedance_solves_only_systems_of_the_port_reduced_circuit(monkeypatch, 
     for port in (circuit.annotations.input_port, circuit.annotations.output_port):
         assert math.isfinite(route(lc, port))
     assert dimensions and max(dimensions) <= 8
+
+
+def reductions(monkeypatch) -> list[set[str]]:
+    """The kept nodes of each ``mna.reduce_onto`` call from now on."""
+    calls = []
+    reduce_onto = mna.reduce_onto
+
+    def counted(lc, keep):
+        calls.append(keep)
+        return reduce_onto(lc, keep)
+
+    monkeypatch.setattr(mna, "reduce_onto", counted)
+    return calls
+
+
+ROUTES = (mna.driving_point_impedance, crosscheck.mason_driving_point_impedance)
+
+
+@pytest.mark.parametrize("routes", [ROUTES, ROUTES[::-1]], ids=["mna-first", "mason-first"])
+@pytest.mark.parametrize("side", ["input_port", "output_port"])
+def test_both_impedance_routes_reduce_the_port_once(monkeypatch, routes, side):
+    # whichever route runs second reads the view the first one built
+    circuit = mesh_feedback_fig3a()
+    lc, port = linearize(circuit), getattr(circuit.annotations, side)
+    calls = reductions(monkeypatch)
+    first, second = (route(lc, port) for route in routes)
+    assert second == pytest.approx(first, rel=crosscheck.ENGINE_RTOL)
+    assert len(calls) == 1
+
+
+def test_impedance_on_every_engine_reduces_the_port_once(monkeypatch, tmp_path, capsys):
+    net = tmp_path / "mesh.net"
+    net.write_text(serialize(mesh_feedback_fig3a()))
+    calls = reductions(monkeypatch)
+    assert cli.main(["impedance", str(net), "--port", "c", "0", "--all-engines"]) == 0
+    assert "mason" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build, port", [
+    (lambda: crosscheck.build_case1_circuit(TYPICAL), crosscheck.CASE1_PORT),
+    (lambda: linearize(mesh_feedback_fig3a()), ("c", GROUND)),
+], ids=["case-circuit", "reduced-mesh"])
+def test_a_probed_circuit_goes_with_its_last_reference(build, port):
+    # the view kept on a circuit refers to no circuit, so no cycle holds it
+    gc.disable()
+    try:
+        lc = build()
+        for route in ROUTES:
+            route(lc, port)
+        ref = weakref.ref(lc)
+        del lc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_loading_of_circuit_on_bridge_fixture(netlists_dir):

@@ -1,9 +1,10 @@
+import decimal
 import math
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings, strategies as st
 
 from feedback_lens import crosscheck as cc, mna
 from feedback_lens.feedback import AmplifierParams, _classify, loading_of_circuit
@@ -12,8 +13,9 @@ from feedback_lens.netlist import (
 )
 from feedback_lens.smallsignal import linearize, restrict
 
-from support import (active_meshes, conductance_impedance_oracle, feedback_amplifiers,
-                     random_resistor_mesh, unreduced_impedance)
+from support import (active_meshes, conductance_impedance_oracle, feedback_amplifiers, outcome,
+                     random_resistor_mesh, reference_reduce_onto, resistive_networks,
+                     unreduced_impedance)
 
 # Nodal solutions of the two measurement models, computed from their node
 # equations with an independent numpy solve before the solver was written.
@@ -502,6 +504,26 @@ def test_reduce_drops_resistors_of_infinite_ohms():
         cc.mason_driving_point_impedance(lc, ("a", GROUND))
 
 
+@settings(max_examples=400, deadline=None)
+@given(network=resistive_networks())
+def test_reduce_equals_the_reduction_that_converts_every_resistor_first(network):
+    # dropping dangling branches before any decimal arithmetic moves no value
+    lc, keep = network
+    assert repr(mna.reduce_onto(lc, keep)) == repr(reference_reduce_onto(lc, keep))
+
+
+def test_reduce_converts_no_resistor_of_a_dropped_branch():
+    # a zero resistance, which validate rejects, raises only where it is converted
+    dangling = network(("a", GROUND, 1e3), ("a", "m", 1e3), ("m", "n", 0.0))
+    assert equivalents(mna.reduce_onto(dangling, {"a", GROUND})) == {
+        frozenset(("a", GROUND)): 1e3}
+    with pytest.raises(decimal.DivisionByZero):
+        reference_reduce_onto(dangling, {"a", GROUND})
+    with pytest.raises(decimal.DivisionByZero):
+        mna.reduce_onto(network(("a", GROUND, 1e3), ("a", "m", 1e3), ("m", GROUND, 0.0)),
+                        {"a", GROUND})
+
+
 @pytest.mark.parametrize("case", [1, 2])
 @pytest.mark.parametrize("r_in", [math.inf, 1e6])
 def test_a_circuit_with_nothing_to_reduce_is_seen_as_itself(case, r_in):
@@ -533,3 +555,46 @@ def test_impedance_of_the_port_reduced_circuit_matches_the_exact_oracle(side, ci
         reject()  # the oracle's node matrix is singular
     assert mna.driving_point_impedance(linearize(circuit), port) == pytest.approx(
         expected, rel=1e-12, abs=0)
+
+
+# Networks joined to the port through infinite resistances, which the parser
+# rejects: a port open through its only path, a kept node joined to the
+# rest only so, a floating node between two ports of it, a floating pair
+# hanging from the port by one, and one in parallel with a finite path.
+INFINITE_OHM_NETWORKS = {
+    "open": (network(("a", "m", math.inf), ("m", GROUND, 1e3)), ("a", GROUND)),
+    "isolated": (network(("a", GROUND, 1e3), ("c", "m", math.inf), ("m", GROUND, 1e3)),
+                 ("c", GROUND)),
+    "island": (network(("a", GROUND, 1e3), ("a", "m", math.inf), ("m", "b", math.inf),
+                       ("b", GROUND, 1e3)), ("a", GROUND)),
+    "floating pair": (network(("a", GROUND, 1e3), ("b", "c", 1e3), ("c", "a", math.inf)),
+                      ("a", GROUND)),
+    "shunted": (network(("a", GROUND, 1e3), ("a", "m", math.inf), ("m", GROUND, 2e3),
+                        ("a", GROUND, math.inf)), ("a", GROUND)),
+}
+amplifier_ports = feedback_amplifiers(islands=True).flatmap(lambda circuit: st.tuples(
+    st.just(circuit), st.sampled_from([circuit.annotations.input_port,
+                                       circuit.annotations.output_port])))
+
+
+# The flow graph's arithmetic is double precision (ROADMAP item 2), so its
+# values are held to the engine gate, not to the nodal route's 1e-12.
+@pytest.mark.parametrize("route, rel", [(mna.driving_point_impedance, 1e-12),
+                                        (cc.mason_driving_point_impedance, cc.ENGINE_RTOL)])
+@settings(deadline=None)
+@given(probe=amplifier_ports)
+@example(probe=INFINITE_OHM_NETWORKS["open"])
+@example(probe=INFINITE_OHM_NETWORKS["isolated"])
+@example(probe=INFINITE_OHM_NETWORKS["island"])
+@example(probe=INFINITE_OHM_NETWORKS["floating pair"])
+@example(probe=INFINITE_OHM_NETWORKS["shunted"])
+def test_openness_of_the_port_view_is_openness_of_the_whole_circuit(route, rel, probe):
+    circuit, port = probe
+    lc = linearize(circuit)
+    got, expected = outcome(route, lc, port), outcome(unreduced_impedance, lc, port)
+    if isinstance(expected, type):
+        assert got is expected
+    elif math.isinf(expected):
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=rel, abs=0)
