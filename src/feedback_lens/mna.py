@@ -206,8 +206,14 @@ def probed_system(lc: Circuit, port: tuple[str, str]) -> MnaSystem:
 def port_is_open(lc: Circuit, port: tuple[str, str]) -> bool:
     """True when no current path joins the two port nodes once independent
     sources are zeroed: they lie in different connected components of the
-    graph whose edges are resistors, VCCS outputs and voltage sources."""
-    paths = ((e.n1, e.n2) for e in lc.elements if isinstance(e, (Resistor, Vccs, VSource, Vcvs)))
+    graph whose edges are finite resistors, the outputs of VCCSs whose two
+    control nodes differ, and voltage sources, independent or controlled.
+    An infinite resistance, or a VCCS controlled by a node against itself,
+    moves no current, and ``assemble`` stamps neither."""
+    paths = ((e.n1, e.n2) for e in lc.elements
+             if isinstance(e, (VSource, Vcvs))
+             or isinstance(e, Resistor) and e.ohms not in (math.inf, -math.inf)
+             or isinstance(e, Vccs) and e.cp != e.cn)
     return port[1] not in reachable(port[0], paths)
 
 

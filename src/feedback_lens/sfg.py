@@ -23,16 +23,17 @@ Node elimination (``elimination_gain``) applies the reduction rules of
 Mason, "Feedback theory -- further properties of signal flow graphs"
 (Proc. IRE 44(7), 1956): a self-loop L on a node is absorbed by dividing
 its in-edges by 1 - L, and the node is then removed by splicing every
-in-edge to every out-edge.  It costs O(n^3) at worst and has no cap, so
-``crosscheck.mason_driving_point_impedance`` (``impedance --all-engines``
-on general netlists) uses it.  It is plain dict arithmetic, independent of
-the nodal solver's elimination.
+in-edge to every out-edge.  At each step every remaining node is ranked
+and the one with the fewest splices goes.  It costs O(n^3) at worst and
+has no cap, so ``crosscheck.mason_driving_point_impedance`` (``impedance
+--all-engines`` on general netlists) uses it, on the flow graph of a
+port-reduced circuit, which has a few nodes.  It is plain dict arithmetic,
+independent of the nodal solver's elimination.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
 
 # Every node, each with the gain of each of its out-edges.  A loop or a
 # forward path is a (nodes, gain) tuple.
@@ -183,12 +184,8 @@ def elimination_gain(graph: Graph, src: str, dst: str) -> float:
     may change its self-loop; ZeroDeterminant is raised once every
     remaining node has a zero 1 - L.
 
-    Each node's rank is kept, in a heap that skips superseded entries, and
-    recomputed only for the predecessors and successors of the node just
-    eliminated: a splice changes the edges of those nodes alone, so every
-    other rank, and hence the pivot order, is the same as when all
-    remaining nodes are ranked afresh at every step.  The work is done on
-    a copy, so ``graph`` is left as it was.
+    Every remaining node is ranked afresh at each step.  The work is done
+    on a copy, so ``graph`` is left as it was.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -211,16 +208,13 @@ def elimination_gain(graph: Graph, src: str, dst: str) -> float:
         looped = v in outs
         return (len(pred[v]) - looped) * (len(outs) - looped), -abs(1.0 - loop), v
 
-    ranks = {v: rank(v) for v in set(succ) - {source, sink}}
-    heap = sorted(filter(None, ranks.values()))  # a sorted list is a heap
-    while ranks:
-        if not heap:
+    remaining = set(succ) - {source, sink}
+    while remaining:
+        ranks = [r for r in map(rank, remaining) if r]
+        if not ranks:
             raise ZeroDeterminant("every remaining node has a zero 1 - L")
-        best = heappop(heap)
-        v = best[2]
-        if ranks.get(v) != best:
-            continue  # stale: v is gone or was ranked again
-        del ranks[v]
+        v = min(ranks)[2]
+        remaining.remove(v)
         absorb = 1.0 / (1.0 - succ[v].pop(v, 0.0))
         pred[v].pop(v, None)
         ins, outs = pred.pop(v), succ.pop(v)
@@ -232,8 +226,4 @@ def elimination_gain(graph: Graph, src: str, dst: str) -> float:
             for w, out in outs.items():
                 gain = succ[u].get(w, 0.0) + into * out
                 succ[u][w] = pred[w][u] = gain
-        for w in (ins.keys() | outs.keys()) & ranks.keys():
-            ranks[w] = rank(w)
-            if ranks[w]:
-                heappush(heap, ranks[w])
     return succ[source].get(sink, 0.0)

@@ -5,12 +5,9 @@ macro expansion and elimination code: it stamps the macro-level circuit
 straight into an exact ``Fraction`` node-conductance matrix, with no
 branch-current unknown, giving a second route for every driving-point
 check.  ``unreduced_impedance`` probes a circuit without the port
-reduction that both impedance routes share.  ``reference_elimination_gain``
-keeps the plain form of ``sfg.elimination_gain``, which ranks every
-remaining node afresh at each step, so the incremental one can be held
-equal to it; ``reference_reduce_onto`` keeps the form of
-``mna.reduce_onto`` that converts every resistor before it removes any
-node, so the pruning one can be held equal to it.
+reduction that both impedance routes share.  ``reference_reduce_onto``
+keeps the form of ``mna.reduce_onto`` that converts every resistor before
+it removes any node, so the pruning one can be held equal to it.
 """
 
 from __future__ import annotations
@@ -290,49 +287,6 @@ def flow_graph(edges) -> sfg.Graph:
     for u, v, gain in edges:
         equations.setdefault(v, []).append((gain, u))
     return sfg.from_linear_system(list(equations.items()))
-
-
-def reference_elimination_gain(graph: sfg.Graph, src: str, dst: str) -> float:
-    """``sfg.elimination_gain`` ranking every remaining node at every step."""
-    if src == dst:
-        raise ValueError("src and dst must differ")
-    source, sink = object(), object()
-    succ: dict = {u: dict(outs) for u, outs in graph.items()}
-    succ.setdefault(src, {})
-    succ.setdefault(dst, {})[sink] = 1.0
-    succ[source], succ[sink] = {src: 1.0}, {}
-    pred: dict = {n: {} for n in succ}
-    for u, outs in succ.items():
-        for v, gain in outs.items():
-            pred[v][u] = gain
-    remaining = set(succ) - {source, sink}
-
-    def rank(v):
-        outs = succ[v]
-        loop = outs.get(v, 0.0)
-        if abs(1.0 - loop) <= sfg._PIVOT_RTOL * max(1.0, abs(loop)):
-            return None
-        looped = v in outs
-        return (len(pred[v]) - looped) * (len(outs) - looped), -abs(1.0 - loop), v
-
-    while remaining:
-        ranks = [r for r in map(rank, remaining) if r]
-        if not ranks:
-            raise sfg.ZeroDeterminant("every remaining node has a zero 1 - L")
-        v = min(ranks)[2]
-        remaining.remove(v)
-        absorb = 1.0 / (1.0 - succ[v].pop(v, 0.0))
-        pred[v].pop(v, None)
-        ins, outs = pred.pop(v), succ.pop(v)
-        for w in outs:
-            del pred[w][v]
-        for u, into in ins.items():
-            del succ[u][v]
-            into *= absorb
-            for w, out in outs.items():
-                gain = succ[u].get(w, 0.0) + into * out
-                succ[u][w] = pred[w][u] = gain
-    return succ[source].get(sink, 0.0)
 
 
 def reference_reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:

@@ -148,6 +148,17 @@ def test_impedance_all_engines_on_the_port_reduced_circuit(capsys, tmp_path, tex
     assert (code, out, err) == (0, f"mna           {ohms} Ω\nmason         {ohms} Ω\n", "")
 
 
+def test_impedance_port_bridged_by_a_self_controlled_vccs_is_open(capsys, tmp_path):
+    # G0's control nodes are both x, so it moves no current between a and
+    # b, and the port is open however the solve rounds its residue current
+    net = tmp_path / "bridge.net"
+    net.write_text("R1 a 0 1k\nG0 a b x x 1m\nR3 b d 3k\nR4 d e 7k\nR5 e b 11k\n"
+                   "G1 d e d b 1m\nR6 x 0 1k\n")
+    assert run(capsys, "validate", str(net))[0] == 0
+    code, out, err = run(capsys, "impedance", str(net), "--port", "a", "b", "--all-engines")
+    assert (code, out, err) == (0, "mna           inf Ω\nmason         inf Ω\n", "")
+
+
 def test_impedance_unknown_node(capsys, netlists_dir):
     code, _, err = run(capsys, "impedance", str(netlists_dir / "fig7.net"), "--port", "zz", "0")
     assert code == 1 and "unknown node" in err

@@ -1,5 +1,6 @@
 import decimal
 import math
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -13,9 +14,9 @@ from feedback_lens.netlist import (
 )
 from feedback_lens.smallsignal import linearize, restrict
 
-from support import (active_meshes, conductance_impedance_oracle, feedback_amplifiers, outcome,
-                     random_resistor_mesh, reference_reduce_onto, resistive_networks,
-                     unreduced_impedance)
+from support import (active_meshes, conductance_impedance_oracle, decades, feedback_amplifiers,
+                     outcome, random_resistor_mesh, reference_reduce_onto, resistive_networks,
+                     resistor_meshes, unreduced_impedance)
 
 # Nodal solutions of the two measurement models, computed from their node
 # equations with an independent numpy solve before the solver was written.
@@ -252,6 +253,55 @@ def test_port_is_open_follows_current_paths():
     assert mna.port_is_open(lc, ("absent", "a"))
     grounded = lc.with_elements(Resistor("R2", "e", GROUND, 1.0))
     assert not mna.port_is_open(grounded, ("a", GROUND))
+    # an infinite resistance, and a VCCS controlled by a node against
+    # itself, move no current, so neither joins e to ground
+    for idle in (Resistor("R3", "e", GROUND, math.inf), Resistor("R4", "e", GROUND, -math.inf),
+                 Vccs("G2", "e", GROUND, "a", "a", 1e-3), Vccs("G3", GROUND, "e", "e", "e", 1.0)):
+        assert mna.port_is_open(lc.with_elements(idle), ("a", GROUND)), idle.name
+
+
+@st.composite
+def ports_bridged_by_no_current(draw):
+    """A grounded ``resistor_meshes`` mesh holding port node a and a floating
+    one holding port node b, with a VCCS inside it, joined only by an
+    element that moves no current: an infinite resistance or a VCCS
+    controlled by a node against itself.  The circuit and its port, either
+    way round."""
+    near = [GROUND, "a"] + [f"g{i}" for i in range(draw(st.integers(0, 3)))]
+    far = ["b"] + [f"f{i}" for i in range(draw(st.integers(1, 4)))]
+    island = [replace(e, name=f"F{e.name}") for e in draw(resistor_meshes(far))]
+    node = st.sampled_from(far)
+    gm = decades(-4, 0)
+    island.append(Vccs("GF", draw(node), draw(node), draw(node), draw(node), draw(gm)))
+    ends = draw(st.permutations([draw(st.sampled_from(near)), draw(node)]))
+    control = draw(st.sampled_from(near + far))
+    bridge = draw(st.sampled_from((Resistor("RB", *ends, math.inf),
+                                   Vccs("GB", *ends, control, control, draw(gm)))))
+    circuit = Circuit(tuple(draw(resistor_meshes(near)) + island + [bridge]))
+    return circuit, tuple(draw(st.permutations(["a", "b"])))
+
+
+# Only the infinite R2 joins a to b, so the port is open however the solve
+# rounds: each circuit keeps every node in its view, and the solve's residue
+# current once read there as a huge negative impedance, on MNA for the first
+# and on the flow graph for the second.
+BRIDGED_BY_INFINITY = (
+    Resistor("R1", "a", GROUND, 1e3), Resistor("R2", "a", "b", math.inf),
+    Resistor("R3", "b", "d", 3e3),
+)
+
+
+@given(ports_bridged_by_no_current())
+@example((Circuit(BRIDGED_BY_INFINITY + (
+    Resistor("R4", "d", "e", 7e3), Resistor("R5", "e", "b", 11e3),
+    Vccs("G1", "d", "e", "d", "b", 1e-3))), ("a", "b")))
+@example((Circuit(BRIDGED_BY_INFINITY + (
+    Resistor("R4", "d", "b", 7e3), Vccs("G1", "d", "b", "d", "b", 1e-3))), ("a", "b")))
+def test_a_port_bridged_only_by_no_current_is_open(case):
+    circuit, port = case
+    assert mna.port_is_open(circuit, port)
+    for route in ROUTES:
+        assert route(circuit, port) == math.inf, route.__name__
 
 
 def test_case1_model_impedance(netlists_dir):
