@@ -241,10 +241,10 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.Graph:
 
 def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
-    probed nodal system of ``mna.seen_at(lc, port)``; a second route to the
-    nodal solve from the same reduced circuit, which it reads openness from
-    too, and which the nodal route's call on the same ``lc`` and port has
-    already built.  A bad port raises as in ``mna.probed_system``."""
+    probed nodal system of ``mna.seen_at(lc, port)``: a second route to the
+    nodal solve from the view the nodal route built at either orientation
+    of the port, which it reads openness from too.  A bad port raises as
+    in ``mna.probed_system``."""
     view = mna.seen_at(lc, port)
     gain = sfg.elimination_gain(flow_graph_of_system(mna.probed_system(view, port)),
                                 SYSTEM_SOURCE, f"I({mna.TEST_SOURCE})")

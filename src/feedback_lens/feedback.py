@@ -268,7 +268,7 @@ def loading_effect(
     """
     for e in fb.elements:
         if not isinstance(e, Resistor):
-            raise ValueError("feedback network must be purely resistive")
+            raise ValueError(f"feedback network must be purely resistive: {e.name} is not")
 
     def shorted(port):
         return fb.with_elements(VSource("__short", port[0], port[1], 0.0))
@@ -294,12 +294,13 @@ def loading_effect(
 
 def loading_of_circuit(circuit: Circuit) -> LoadingModel:
     """Classify, isolate the feedback network and measure its loading on
-    its equivalent at the port nodes and ground (``mna.reduce_onto``, the
-    star-mesh transform): the paper's two-port step reads only that view."""
+    the network as its two ports see it (``mna.seen_at``, the star-mesh
+    transform): the paper's two-port step reads only that view, and
+    ``loading_effect`` refuses one with an element other than a resistor."""
     topo, input_side, output_side = _classify(circuit)
     fb = restrict(circuit, circuit.annotations.feedback_elements)
-    reduced = mna.reduce_onto(fb, {GROUND, *input_side, *output_side})
-    return loading_effect(reduced, topo, input_side, output_side)
+    return loading_effect(mna.seen_at(fb, input_side + output_side), topo,
+                          input_side, output_side)
 
 
 # --------------------------------------------------------------------------

@@ -225,7 +225,8 @@ def impedance_from_current(delivered: float, lc: Circuit,
     structure because an open port's solved current is rounding residue,
     which no threshold tells apart from the current of a real port of high
     impedance beside a large conductance.  The impedance routes pass the
-    ``seen_at`` view they probed."""
+    ``seen_at`` view they probed, and loading its probe of the feedback
+    network's view."""
     if delivered == 0.0 or port_is_open(lc, port):
         return math.inf
     return 1.0 / delivered
@@ -240,7 +241,9 @@ def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     and the current is that row's right-hand side over its pivot: the value
     ``solve`` would give, without back substitution of the other unknowns.
     The probe, and the openness of the port, are of ``seen_at(lc, port)``,
-    whose nodes are few.  A bad port raises as in ``probed_system``."""
+    whose nodes are few, and which the flow-graph route on ``lc`` at the
+    same port, either way round, reuses.  A bad port raises as in
+    ``probed_system``."""
     view = seen_at(lc, port)
     with localcontext(DECIMAL):
         _, b, pivots = _eliminate(probed_system(view, port))
@@ -249,28 +252,37 @@ def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     return impedance_from_current(delivered, view, port)
 
 
-def reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
-    """The purely resistive ``lc`` seen at its nodes in ``keep``: one
-    resistor per joined pair of them.  Each other node goes, fewest
-    neighbours first: a dangling one (one neighbour, cascading) with no
-    arithmetic, then the rest by the star-mesh transform (Kron reduction:
-    Gaussian elimination of the conductance matrix), giving each pair a, b
-    of its neighbours g_a * g_b / sum(g), in ``DECIMAL``.  Only a surviving
-    edge is converted, once, summed over its parallel resistors.  Each
-    resistor keeps its ohms as that ``Decimal``, so nothing is rounded to
-    float before a nodal solve.  A node left with no neighbour stays, as a
-    self-looped resistor of infinite ohms: a kept one reads open, and a
-    floating island leaves a nodal solve ``SingularMatrix`` as in ``lc``.
-    Any other element raises ``ValueError``."""
-    ohms: dict[str, dict[str, list]] = {n: {} for n in lc.nodes}
-    for e in lc.elements:
-        if not isinstance(e, Resistor):
-            raise ValueError(f"cannot reduce {e.name}: the network must be purely resistive")
+def seen_at(lc: Circuit, nodes) -> Circuit:
+    """``lc`` as ``nodes`` see it, the only port reduction.  Ground,
+    ``nodes`` and every terminal of an element other than a resistor stay,
+    and those elements pass through.  Each other node goes, fewest
+    neighbours first: a dangling one (cascading) with no arithmetic, then
+    the rest by the star-mesh transform (Kron reduction), giving each pair
+    a, b of its neighbours g_a * g_b / sum(g) in ``DECIMAL``.  Only a
+    surviving edge is converted, once, summed over its parallel resistors,
+    and each equivalent keeps its ohms as that ``Decimal``.  A resistor's
+    node left with no neighbour stays as a self-looped infinite resistor:
+    a kept one reads open, and a floating island leaves a nodal solve
+    ``SingularMatrix`` as in ``lc``.  With nothing to reduce it is ``lc``
+    itself; else ``lc`` keeps it by the set of ``nodes``, so a second route
+    at a port, either way round, reuses it."""
+    views = vars(lc).setdefault("_seen_at", {})
+    if (key := frozenset(nodes)) in views:
+        return views[key]
+    others = tuple(e for e in lc.elements if not isinstance(e, Resistor))
+    keep = {GROUND, *key}.union(*(e.terminals for e in others))
+    if keep >= lc.nodes:
+        return lc
+    resistors = [e for e in lc.elements if isinstance(e, Resistor)]
+    ends = {GROUND}.union(*(e.terminals for e in resistors)) if others else lc.nodes
+    # in node order, which every step below keeps
+    ohms: dict[str, dict[str, list]] = {n: {} for n in sorted(ends)}
+    for e in resistors:
         # an infinite resistance joins nothing, as assemble drops its zero
         if e.n1 != e.n2 and e.ohms not in (math.inf, -math.inf):
             ohms[e.n1].setdefault(e.n2, []).append(e.ohms)
             ohms[e.n2][e.n1] = ohms[e.n1][e.n2]
-    leaves = [v for v, nbrs in sorted(ohms.items()) if len(nbrs) == 1 and v not in keep]
+    leaves = [v for v, nbrs in ohms.items() if len(nbrs) == 1 and v not in keep]
     while leaves:
         v = heappop(leaves)
         if len(ohms[v]) == 1:  # not stranded by its neighbour going first
@@ -299,26 +311,7 @@ def reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
                 if a not in keep:
                     heappush(heap, (len(adjacent[a]), a))
         elements = [Resistor(f"{a}~{b}", a, b, 1 / g)
-                    for a, nbrs in sorted(adjacent.items()) for b, g in nbrs.items() if a < b]
+                    for a, nbrs in adjacent.items() for b, g in nbrs.items() if a < b]
     elements += (Resistor(f"{a}~", a, a, math.inf) for a, nbrs in adjacent.items() if not nbrs)
-    return Circuit(tuple(elements))
-
-
-def seen_at(lc: Circuit, port: tuple[str, str]) -> Circuit:
-    """``lc`` as ``port`` sees it: every node that only resistors touch,
-    other than ground and the port's, is reduced away by ``reduce_onto``,
-    and every terminal of any other element, control nodes included, stays.
-    Two kept nodes are joined in the view exactly when finite resistances
-    or other elements join them in ``lc``, so its openness is the port's.
-    With nothing to reduce it is ``lc`` itself; else ``lc`` keeps it by
-    port, and a second route probing ``lc`` at ``port`` reuses it."""
-    views = vars(lc).setdefault("_seen_at", {})
-    if (key := tuple(port)) in views:
-        return views[key]
-    others = tuple(e for e in lc.elements if not isinstance(e, Resistor))
-    keep = {GROUND, *port}.union(*(e.terminals for e in others))
-    if keep >= lc.nodes:
-        return lc
-    resistors = Circuit(tuple(e for e in lc.elements if isinstance(e, Resistor)))
-    views[key] = Circuit(others + reduce_onto(resistors, keep).elements)
+    views[key] = Circuit(others + tuple(elements))
     return views[key]

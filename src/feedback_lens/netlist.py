@@ -92,7 +92,7 @@ def format_value(value: float) -> str:
 
 @dataclass(frozen=True)
 class Resistor:
-    """``ohms`` is a float, or a ``Decimal`` in a network ``mna.reduce_onto``
+    """``ohms`` is a float, or a ``Decimal`` in a view ``mna.seen_at``
     builds."""
 
     name: str

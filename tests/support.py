@@ -5,9 +5,10 @@ macro expansion and elimination code: it stamps the macro-level circuit
 straight into an exact ``Fraction`` node-conductance matrix, with no
 branch-current unknown, giving a second route for every driving-point
 check.  ``unreduced_impedance`` probes a circuit without the port
-reduction that both impedance routes share.  ``reference_reduce_onto``
-keeps the form of ``mna.reduce_onto`` that converts every resistor before
-it removes any node, so the pruning one can be held equal to it.
+reduction (``mna.seen_at``) that loading and both impedance routes share.
+``reference_reduce_onto`` keeps the form of that reduction, on a purely
+resistive network, that converts every resistor before it removes any
+node, so the pruning one can be held equal to it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 from feedback_lens import mna, sfg
 from feedback_lens.feedback import AmplifierParams
-from feedback_lens.netlist import GROUND, BjtPi, Circuit, OpAmp, PortAnnotations, Resistor, Vccs
+from feedback_lens.netlist import (GROUND, BjtPi, Circuit, OpAmp, PortAnnotations, Resistor,
+                                   Vccs, Vcvs)
 from feedback_lens.smallsignal import linearize
 
 
@@ -290,9 +292,10 @@ def flow_graph(edges) -> sfg.Graph:
 
 
 def reference_reduce_onto(lc: Circuit, keep: set[str]) -> Circuit:
-    """``mna.reduce_onto`` converting every resistor to a ``Decimal``
-    conductance before any node goes, dangling ones included."""
-    adjacent: dict[str, dict[str, Decimal]] = {n: {} for n in lc.nodes}
+    """The resistive ``lc`` reduced onto ``keep`` as ``mna.seen_at`` does,
+    converting every resistor to a ``Decimal`` conductance before any node
+    goes, dangling ones included."""
+    adjacent: dict[str, dict[str, Decimal]] = {n: {} for n in sorted(lc.nodes)}
     with localcontext(mna.DECIMAL):
         for e in lc.elements:
             if not isinstance(e, Resistor):
@@ -326,12 +329,17 @@ def resistive_networks(draw):
     """Resistors over [10, 1e7] ohms or infinite on ground and up to nine
     more nodes, with a set of nodes to keep: a random forest whose trees
     dangle or float, then chords that may be parallel resistors or
-    self-loops."""
+    self-loops, then up to two VCCSs or VCVSs on those nodes or on a node
+    no resistor touches."""
     names = [GROUND] + [f"n{i}" for i in range(draw(st.integers(1, 9)))]
     ohms = decades(1, 7) | st.just(math.inf)
     pairs = [(a, draw(st.sampled_from(names[:i]))) for i, a in enumerate(names)
              if i and draw(st.integers(0, 3))]
     node = st.sampled_from(names)
     pairs += draw(st.lists(st.tuples(node, node), max_size=6))
-    lc = Circuit(tuple(Resistor(f"R{i}", a, b, draw(ohms)) for i, (a, b) in enumerate(pairs)))
-    return lc, set(draw(st.lists(node, max_size=4)))
+    resistors = tuple(Resistor(f"R{i}", a, b, draw(ohms)) for i, (a, b) in enumerate(pairs))
+    terminal = st.sampled_from(names + ["s"])
+    sources = tuple(kind(f"S{i}", *draw(st.tuples(terminal, terminal, terminal, terminal)), -10.0)
+                    for i, kind in enumerate(draw(st.lists(st.sampled_from((Vccs, Vcvs)),
+                                                           max_size=2))))
+    return Circuit(resistors + sources), set(draw(st.lists(node, max_size=4)))

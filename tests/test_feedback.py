@@ -209,7 +209,7 @@ def test_divider_series_shunt():
 
 def test_loading_rejects_active_feedback():
     net = Circuit((Resistor("R1", "a", GROUND, 1e3), VSource("V1", "a", GROUND, 1.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^feedback network must be purely resistive: V1 is not$"):
         fb.loading_effect(net, SERIES_SERIES, ("a", GROUND), ("a", GROUND))
 
 
@@ -405,7 +405,7 @@ CANCELLING = Circuit(tuple(Resistor(f"R{i}", a, b, ohms) for i, (a, b, ohms) in 
 @example(case=(CANCELLING, ("n5", "n0"), ("n3", "n6")))
 def test_loading_of_the_reduced_network_equals_loading_of_the_whole(topo, case):
     net, input_side, output_side = case
-    reduced = mna.reduce_onto(net, {GROUND, *input_side, *output_side})
+    reduced = mna.seen_at(net, input_side + output_side)
     assert_same_loading(outcome(fb.loading_effect, reduced, topo, input_side, output_side),
                         outcome(whole_network_loading, net, topo, input_side, output_side), topo)
 
@@ -472,16 +472,16 @@ def test_impedance_solves_only_systems_of_the_port_reduced_circuit(monkeypatch, 
     assert dimensions and max(dimensions) <= 8
 
 
-def reductions(monkeypatch) -> list[set[str]]:
-    """The kept nodes of each ``mna.reduce_onto`` call from now on."""
+def probed_circuits(monkeypatch) -> list[Circuit]:
+    """The circuit of each ``mna.probed_system`` call from now on."""
     calls = []
-    reduce_onto = mna.reduce_onto
+    probed_system = mna.probed_system
 
-    def counted(lc, keep):
-        calls.append(keep)
-        return reduce_onto(lc, keep)
+    def spied(lc, port):
+        calls.append(lc)
+        return probed_system(lc, port)
 
-    monkeypatch.setattr(mna, "reduce_onto", counted)
+    monkeypatch.setattr(mna, "probed_system", spied)
     return calls
 
 
@@ -491,22 +491,26 @@ ROUTES = (mna.driving_point_impedance, crosscheck.mason_driving_point_impedance)
 @pytest.mark.parametrize("routes", [ROUTES, ROUTES[::-1]], ids=["mna-first", "mason-first"])
 @pytest.mark.parametrize("side", ["input_port", "output_port"])
 def test_both_impedance_routes_reduce_the_port_once(monkeypatch, routes, side):
-    # whichever route runs second reads the view the first one built
+    # whichever route runs second, or at the reversed port, probes the view
+    # the first one built
     circuit = mesh_feedback_fig3a()
     lc, port = linearize(circuit), getattr(circuit.annotations, side)
-    calls = reductions(monkeypatch)
+    probed = probed_circuits(monkeypatch)
     first, second = (route(lc, port) for route in routes)
     assert second == pytest.approx(first, rel=crosscheck.ENGINE_RTOL)
-    assert len(calls) == 1
+    assert routes[0](lc, port[::-1]) == pytest.approx(first, rel=crosscheck.ENGINE_RTOL)
+    view = mna.seen_at(lc, port)
+    assert view is not lc and len(view.nodes) < 10
+    assert len(probed) == 3 and all(p is view for p in probed)
 
 
 def test_impedance_on_every_engine_reduces_the_port_once(monkeypatch, tmp_path, capsys):
     net = tmp_path / "mesh.net"
     net.write_text(serialize(mesh_feedback_fig3a()))
-    calls = reductions(monkeypatch)
+    probed = probed_circuits(monkeypatch)
     assert cli.main(["impedance", str(net), "--port", "c", "0", "--all-engines"]) == 0
     assert "mason" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(probed) == 2 and probed[0] is probed[1] and len(probed[0].nodes) < 10
 
 
 @pytest.mark.parametrize("build, port", [
