@@ -312,6 +312,18 @@ def test_crosscheck_sweep_with_no_value_is_a_typed_error(capsys, sweep, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("options, message", [
+    (["--set", "k=1", "--set", "K=5"], "--set K=5: K is already set"),
+    (["--sweep", "K=1,,2"], "--sweep K=1,,2: bad numeric value ''"),
+    (["--sweep", "K=1,"], "--sweep K=1,: bad numeric value ''"),
+    (["--set", "k=10", "--sweep", "k=1,2"], "--sweep k=1,2: K is already set by --set"),
+])
+def test_crosscheck_drops_no_parameter_value(capsys, options, message, fmt):
+    code, out, err = run(capsys, "crosscheck", "--case", "1", *options, "--format", fmt)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("option, value, problem", [
     ("--set", "k=", "bad numeric value ''"),
     ("--sweep", "K=1,abc", "bad numeric value 'abc'"),
@@ -374,6 +386,68 @@ def test_json_reports_round_trip(capsys, netlists_dir):
     )
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
+
+
+NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
+FIXTURES = sorted(p.name for p in NETLISTS.glob("*.net"))
+IMPEDANCE_PORTS = {"fig3a": ("c", "0"), "fig3b": ("c", "0"), "fig3c": ("c", "0"),
+                   "fig3d": ("c2", "0"), "fig7": ("c", "0"), "fig9": ("e", "0"),
+                   "irrelevant": ("c2", "0")}
+VALUE_LINE = re.compile(r"(\w+(?: vs \w+)?) +(\S+)(?: Ω)?")
+
+
+def table_values(argv, out):
+    """Each value a table report prints, as printed, by name."""
+    if argv[0] in ("validate", "classify"):
+        return {"report": out.splitlines()}
+    if argv[0] == "impedance" and "--all-engines" not in argv:
+        out = f"mna {out}"
+    values = {}
+    for line in out.splitlines():
+        if match := VALUE_LINE.fullmatch(line):
+            values[match[1]] = match[2]
+        elif ": " in line:
+            name, _, text = line.partition(": ")
+            values[name] = text
+    return values
+
+
+def json_values(argv, payload):
+    """Each value of a JSON report, by its table name, at the table's precision."""
+    if argv[0] == "validate":
+        messages = [f"{argv[1]}: {v['message']}" for v in payload["violations"]]
+        return {"report": messages or ["valid"]}
+    if argv[0] == "classify":
+        return {"report": [f"{payload['input_mix']}-{payload['output_sense']} "
+                           f"({payload['validity']})"]}
+    if argv[0] != "crosscheck":
+        digits = ".9e" if argv[0] == "loading" else ".6e"
+        return {name: format(float(v), digits) for name, v in payload.items()}
+    if isinstance(payload, list):
+        (payload,) = payload
+    return {**{name: f"{float(v):.9e}" for name, v in payload["values"].items()},
+            **{pair: f"{float(v):.3e}" for pair, v in payload["relative_errors"].items()},
+            "quantity": payload["quantity"], "verdict": payload["verdict"],
+            "closed-form error vs exact": f"{float(payload['closed_form_error']):.4%}"}
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, f"netlists/{name}"] for name in FIXTURES
+      for command in ("validate", "classify", "loading")),
+    *(["impedance", f"netlists/{name}.net", "--port", *port, *engines]
+      for name, port in IMPEDANCE_PORTS.items() for engines in ([], ["--all-engines"])),
+    *(["crosscheck", "--case", case, *sweep] for case in ("1", "2")
+      for sweep in ([], ["--sweep", "K=10"])),
+], ids=" ".join)
+def test_table_and_json_report_the_same_values(capsys, monkeypatch, argv):
+    monkeypatch.chdir(NETLISTS.parent)
+    code, table, _ = run(capsys, *argv, "--format", "table")
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    assert json_code == code
+    if code == 1:
+        assert table == out == ""
+    else:
+        assert table_values(argv, table) == json_values(argv, json.loads(out))
 
 
 def test_crosscheck_json_has_no_non_finite_literals(capsys):
@@ -459,6 +533,7 @@ def test_crosscheck_on_extreme_parameters_exits_cleanly(case, sets):
         argv += ["--set", f"{name}={value}"]
     code, out, err = run_quiet(*argv)  # a traceback would propagate out of main
     assert code in (0, 1, 2)
+    assert code != 1 or out == ""
     assert err.count("\n") == (code == 1)
     assert "nan" not in out and "inf" not in out
 
@@ -491,8 +566,9 @@ def test_every_subcommand_on_generated_netlists_exits_cleanly(circuit, port):
         for argv in (["validate", path], ["classify", path], ["loading", path],
                      ["impedance", path, "--port", *port],
                      ["impedance", path, "--port", *port, "--all-engines"]):
-            code, _, err = run_quiet(*argv)  # a traceback would propagate out of main
+            code, out, err = run_quiet(*argv)  # a traceback would propagate out of main
             assert code in (0, 1, 2)
+            assert code != 1 or out == ""
             for line in err.splitlines():
                 assert line.startswith((f"{path}:", "error: ")), line
 
