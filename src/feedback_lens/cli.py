@@ -158,6 +158,15 @@ _COMMANDS = (
 )
 
 
+class _Once(argparse.Action):
+    """Store a value; a second one is an error, not a silent replacement."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.exit(2, f"error: {option_string} is given more than once\n")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="feedback-lens",
@@ -170,17 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
         if func is not cmd_crosscheck:
             p.add_argument("netlist")
         if func is cmd_impedance:
-            p.add_argument("--port", nargs=2, metavar=("N+", "N-"), required=True)
+            p.add_argument("--port", nargs=2, metavar=("N+", "N-"), required=True, action=_Once)
             p.add_argument("--all-engines", action="store_true", help=_ALL_ENGINES_HELP)
         if func is cmd_crosscheck:
-            p.add_argument("--case", type=int, choices=(1, 2), required=True)
+            p.add_argument("--case", type=int, choices=(1, 2), required=True, action=_Once)
             p.add_argument("--paper-defaults", action="store_true", help=_PAPER_DEFAULTS_HELP)
             p.add_argument("--set", action="append", metavar="NAME=VALUE",
                            help="override one parameter (repeatable)")
-            p.add_argument("--sweep", metavar="AXIS=V1,V2,...",
+            p.add_argument("--sweep", metavar="AXIS=V1,V2,...", action=_Once,
                            help="run once per grid value of one parameter")
         # last, so that each usage line lists the subcommand's own options first
-        p.add_argument("--format", choices=("table", "json"), default=None, help=_FORMAT_HELP)
+        p.add_argument("--format", choices=("table", "json"), action=_Once, help=_FORMAT_HELP)
     return parser
 
 

@@ -1,5 +1,5 @@
-"""Feedback topology classification, loading extraction and closed-form
-output impedance of the two output-series cases.
+"""Feedback topology classification, loading from the feedback network's
+two-port parameters and closed-form output impedance of the two cases.
 
 Case numbering used throughout the package:
 
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import mna
 from .netlist import (
@@ -29,7 +31,6 @@ from .netlist import (
     Resistor,
     Vccs,
     Vcvs,
-    VSource,
 )
 from .smallsignal import restrict
 
@@ -250,53 +251,70 @@ def loading_effect(
     input_port: tuple[str, str],
     output_port: tuple[str, str],
 ) -> LoadingModel:
-    """Loading the feedback network presents to the forward amplifier.
+    """Loading the feedback network presents to the forward amplifier, read
+    off the two-port parameters of its topology: z, y, h or g.
 
-    The opposite port is shorted when its mixing is shunt and left open when
-    series; f is measured by exciting the sensed output quantity with a unit
-    source and reading the quantity delivered to the input side.
-
-    Two probes give all three numbers.  R_if is the driving-point impedance
-    of the input side.  The probe of the output side, a unit test voltage
-    across it, is also the circuit that defines f: for shunt sensing its
-    test voltage is the unit excitation itself, and for series sensing the
-    response to a unit current is, by linearity, the response to the test
-    voltage over the current that voltage delivers.  A unit current into an
-    open output port has no solution, so series sensing there raises
-    ``SingularMatrix``.  A port node the network lacks raises
-    ``mna.UnknownNode``.
-    """
+    Node voltages are written in side coordinates (k across side k, 0 input
+    and 1 output), and each finite resistor stamps its conductance into that
+    energy form in exact ``Fraction``s.  One sweep eliminates every other
+    coordinate and inverts each series side's, opening it while the other
+    side is measured; a shunt side is shorted.  A zero pivot with a zero
+    row moves nothing; any other, or an undefined f (across an open input
+    side, into an open output side, or at one port with a shunt side),
+    raises ``SingularMatrix``.  A side node neither in the network nor on
+    a shunt other side raises ``mna.UnknownNode``."""
     for e in fb.elements:
         if not isinstance(e, Resistor):
             raise ValueError(f"feedback network must be purely resistive: {e.name} is not")
-
-    def shorted(port):
-        return fb.with_elements(VSource("__short", port[0], port[1], 0.0))
-
-    input_probe = shorted(output_port) if topo.output_sense is Mixing.SHUNT else fb
-    output_probe = shorted(input_port) if topo.input_mix is Mixing.SHUNT else fb
-    r_if = mna.driving_point_impedance(input_probe, input_port)
-
-    solution = mna.solve(mna.probed_system(output_probe, output_port))
-    delivered = -solution.branch_currents[mna.TEST_SOURCE]
-    r_of = mna.impedance_from_current(delivered, output_probe, output_port)
-    if topo.input_mix is Mixing.SHUNT:
-        f = -solution.branch_currents["__short"]
-    else:
-        f = solution.across(input_port)
-    if topo.output_sense is Mixing.SERIES:
-        if math.isinf(r_of):
-            raise mna.SingularMatrix("no current path for a unit current into the output port")
-        f /= delivered
-
-    return LoadingModel(R_if=r_if, R_of=r_of, f=f)
+    shunt = (topo.input_mix is Mixing.SHUNT, topo.output_sense is Mixing.SHUNT)
+    sides = (input_port, output_port)
+    for k, side in enumerate(sides):
+        if side[0] == side[1]:
+            raise ValueError(f"port nodes must differ, got {side[0]!r} twice")
+        for node in side:
+            if node not in fb.nodes and not (shunt[1 - k] and node in sides[1 - k]):
+                raise mna.UnknownNode(f"unknown node {node!r}")
+    if (one_port := set(input_port) == set(output_port)) and any(shunt):
+        raise mna.SingularMatrix("the two sides are one port, which a shunt side shorts")
+    # V(p) = V(n) + u_k; a grounded side goes first, so a node the sides share is fixed
+    volts: dict[str, dict] = {GROUND: {}}
+    for k in sorted(range(2 - one_port), key=lambda k: GROUND not in sides[k]):
+        (p, n), sign = (sides[k], 1) if sides[k][0] not in volts else (sides[k][::-1], -1)
+        volts[p] = {**volts.setdefault(n, {n: 1}), k: sign}
+    form = Counter()  # by pairs of coordinates
+    for e in fb.elements:
+        if not math.isinf(e.ohms):
+            g = 1 / Fraction(e.ohms)
+            a, b = (volts.get(v, {v: 1}) for v in (e.n1, e.n2))
+            d = {c: a.get(c, 0) - b.get(c, 0) for c in {*a, *b}}
+            form.update({(i, j): d[i] * d[j] * g for i in d for j in d})
+    nodes = dict.fromkeys(i for i, _ in form if i not in (0, 1))
+    for c in [*nodes, *(k for k in range(2 - one_port) if not shunt[k])]:
+        pivot = form.pop((c, c), 0)
+        row = {j: form.pop((i, j)) for i, j in list(form) if i == c}
+        col = {i: form.pop((i, j)) for i, j in list(form) if j == c}
+        if not pivot:
+            if c in (0, 1):
+                side = ("input", "output")[c]
+                raise mna.SingularMatrix(f"f is undefined: the {side} side is open")
+            if any(row.values()):
+                raise mna.SingularMatrix(f"zero pivot with a non-zero row at V({c})")
+            continue
+        form.update({(i, j): -a * b / pivot for i, a in col.items() for j, b in row.items()})
+        if c in (0, 1):
+            form.update({(c, j): -b / pivot for j, b in row.items()} | {(c, c): 1 / pivot}
+                        | {(i, c): a / pivot for i, a in col.items()})
+    h00, h01, h11 = form[0, 0], form[0, 1], form[1, 1]
+    if one_port:
+        h01, h11 = h00 if input_port == output_port else -h00, h00
+    r_if, r_of = (float(h) if not shunt[k] else float(1 / h) if h else math.inf
+                  for k, h in enumerate((h00, h11)))
+    return LoadingModel(R_if=r_if, R_of=r_of, f=float(h01))
 
 
 def loading_of_circuit(circuit: Circuit) -> LoadingModel:
-    """Classify, isolate the feedback network and measure its loading on
-    the network as its two ports see it (``mna.seen_at``, the star-mesh
-    transform): the paper's two-port step reads only that view, and
-    ``loading_effect`` refuses one with an element other than a resistor."""
+    """Classify, isolate the feedback network and read its loading off the
+    network as its two sides see it (``mna.seen_at``, the one reduction)."""
     topo, input_side, output_side = _classify(circuit)
     fb = restrict(circuit, circuit.annotations.feedback_elements)
     return loading_effect(mna.seen_at(fb, input_side + output_side), topo,

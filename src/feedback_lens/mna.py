@@ -75,9 +75,6 @@ class Solution:
             return 0.0
         return self.node_voltages[node]
 
-    def across(self, port: tuple[str, str]) -> float:
-        return self.voltage(port[0]) - self.voltage(port[1])
-
 
 def assemble(lc: Circuit) -> MnaSystem:
     """Stamp the standard MNA matrix for a circuit of primitives; any other
@@ -224,31 +221,22 @@ def impedance_from_current(delivered: float, lc: Circuit,
     current, reads ``math.inf``.  Openness is decided from the circuit's
     structure because an open port's solved current is rounding residue,
     which no threshold tells apart from the current of a real port of high
-    impedance beside a large conductance.  The impedance routes pass the
-    ``seen_at`` view they probed, and loading its probe of the feedback
-    network's view."""
+    impedance beside a large conductance."""
     if delivered == 0.0 or port_is_open(lc, port):
         return math.inf
     return 1.0 / delivered
 
 
 def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
-    """Impedance seen into ``port`` with all independent sources zeroed.
-
-    Only the current of the test source is needed, and ``probed_system``
-    appends that source last, so its current is the last unknown.  After
-    ``_eliminate`` the pivot row of the last column holds no other entry,
-    and the current is that row's right-hand side over its pivot: the value
-    ``solve`` would give, without back substitution of the other unknowns.
-    The probe, and the openness of the port, are of ``seen_at(lc, port)``,
-    whose nodes are few, and which the flow-graph route on ``lc`` at the
-    same port, either way round, reuses.  A bad port raises as in
-    ``probed_system``."""
+    """Impedance seen into ``port`` with all independent sources zeroed:
+    the current that ``solve`` finds the test source delivering.  Only that
+    last unknown is read, but through ``solve``, so that the benchmark's
+    trace of ``solve`` sees every nodal solve.  The probe, and the openness
+    of the port, are of ``seen_at(lc, port)``, whose nodes are few, and
+    which the flow-graph route on ``lc`` at the same port, either way round,
+    reuses.  A bad port raises as in ``probed_system``."""
     view = seen_at(lc, port)
-    with localcontext(DECIMAL):
-        _, b, pivots = _eliminate(probed_system(view, port))
-        row, pivot = pivots[-1]
-        delivered = -float(b[row] / pivot)
+    delivered = -solve(probed_system(view, port)).branch_currents[TEST_SOURCE]
     return impedance_from_current(delivered, view, port)
 
 

@@ -8,7 +8,10 @@ check.  ``unreduced_impedance`` probes a circuit without the port
 reduction (``mna.seen_at``) that loading and both impedance routes share.
 ``reference_reduce_onto`` keeps the form of that reduction, on a purely
 resistive network, that converts every resistor before it removes any
-node, so the pruning one can be held equal to it.
+node, so the pruning one can be held equal to it.  ``three_probe_loading``
+is the loading of a feedback network as its probes define it, solved in
+exact ``Fraction`` nodal arithmetic with no reduction and no two-port
+parameter.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from feedback_lens import mna, sfg
-from feedback_lens.feedback import AmplifierParams
-from feedback_lens.netlist import (GROUND, BjtPi, Circuit, OpAmp, PortAnnotations, Resistor,
-                                   Vccs, Vcvs)
+from feedback_lens.feedback import AmplifierParams, LoadingModel, Mixing
+from feedback_lens.netlist import (GROUND, BjtPi, Circuit, ISource, OpAmp, PortAnnotations,
+                                   Resistor, Vccs, Vcvs, VSource, reachable)
 from feedback_lens.smallsignal import linearize
 
 
@@ -116,6 +119,101 @@ def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     ``mna.seen_at(lc, port)``: every unknown of its probed system solved."""
     solution = mna.solve(mna.probed_system(lc, port))
     return mna.impedance_from_current(-solution.branch_currents[mna.TEST_SOURCE], lc, port)
+
+
+def exact_probe(elements, lift: int = 0):
+    """Voltage of every node and current of every voltage source (flowing
+    n1 to n2 through it) of a circuit of resistors and independent sources,
+    by an exact ``Fraction`` nodal solve with one unknown per voltage
+    source.  A part of the circuit with no ground, joined within by its
+    sources and finite resistors, is tied to ground: its first node is held
+    at ``lift`` times the part's number, in volts.  A circuit with no
+    solution raises ``mna.SingularMatrix``."""
+    paths = [(e.n1, e.n2) for e in elements if not isinstance(e, Resistor)
+             or e.n1 != e.n2 and math.isfinite(e.ohms)]
+    nodes = sorted({t for e in elements for t in e.terminals} - {GROUND})
+    reached, ties = reachable(GROUND, paths), []
+    for node in nodes:
+        if node not in reached:
+            reached |= reachable(node, paths)
+            ties.append(VSource(f"__tie{len(ties)}", node, GROUND, lift * (len(ties) + 1)))
+    sources = [e for e in elements if isinstance(e, VSource)] + ties
+    index = {n: i for i, n in enumerate(nodes)} | {e.name: len(nodes) + i
+                                                   for i, e in enumerate(sources)}
+    n = len(index)
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
+
+    def add(row, col, value):
+        if GROUND not in (row, col):
+            rows[index[row]][n if col is None else index[col]] += value
+
+    for e in elements:
+        if isinstance(e, Resistor) and e.n1 != e.n2 and math.isfinite(e.ohms):
+            g = 1 / Fraction(e.ohms)
+            for a, b in ((e.n1, e.n2), (e.n2, e.n1)):
+                add(a, a, g)
+                add(a, b, -g)
+        elif isinstance(e, ISource):
+            add(e.n1, None, -Fraction(e.amps))
+            add(e.n2, None, Fraction(e.amps))
+    for e in sources:
+        for node, sign in ((e.n1, 1), (e.n2, -1)):
+            add(node, e.name, sign)
+            add(e.name, node, sign)
+        add(e.name, None, Fraction(e.volts))
+    # Gauss-Jordan elimination, exact
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise mna.SingularMatrix("the probe circuit has no unique solution")
+        rows[k], rows[p] = rows[p], rows[k]
+        for i, r in enumerate(rows):
+            if i != k and r[k]:
+                factor = r[k] / rows[k][k]
+                for j in range(k, n + 1):
+                    r[j] -= factor * rows[k][j]
+    x = {name: rows[i][n] / rows[i][i] for name, i in index.items()}
+    return x | {GROUND: Fraction(0)}
+
+
+def three_probe_loading(net: Circuit, topo, input_port, output_port) -> LoadingModel:
+    """The loading of the resistive ``net`` as its probes define it, each
+    probe solved by ``exact_probe``.  R_if and R_of are each the inverse of
+    the current a unit test voltage across its side draws, with the other
+    side shorted when it is shunt and open when series (``inf`` for no
+    current).  f is the input side's voltage (series mixing) or the current
+    its short delivers (shunt mixing) per unit excitation of the output
+    side: a current into it for series sensing, a voltage across it for
+    shunt sensing.  A quantity that changes when the ties of
+    ``exact_probe`` are lifted off 0 V is one the probes do not define, and
+    raises ``mna.SingularMatrix``; a probed side node that neither the
+    network nor a short brings raises ``mna.UnknownNode``."""
+    shunt_in = topo.input_mix is Mixing.SHUNT
+    shunt_out = topo.output_sense is Mixing.SHUNT
+
+    def defined(read, *probe):
+        values = {read(exact_probe(net.elements + probe, lift)) for lift in (0, 1)}
+        if len(values) > 1:
+            raise mna.SingularMatrix("the probes leave a voltage undefined")
+        return values.pop()
+
+    def resistance(side, other, shorted):
+        shorts = (VSource("__short", *other, 0.0),) if shorted else ()
+        for node in side:
+            if node not in net.with_elements(*shorts).nodes:
+                raise mna.UnknownNode(f"unknown node {node!r}")
+        current = defined(lambda x: -x["__test"], VSource("__test", *side, 1.0), *shorts)
+        return float(1 / current) if current else math.inf
+
+    r_if = resistance(input_port, output_port, shunt_out)
+    r_of = resistance(output_port, input_port, shunt_in)
+    excite = (VSource("__excite", *output_port, 1.0) if shunt_out
+              else ISource("__excite", output_port[1], output_port[0], 1.0))
+    if shunt_in:
+        f = defined(lambda x: -x["__short"], excite, VSource("__short", *input_port, 0.0))
+    else:
+        f = defined(lambda x: x[input_port[0]] - x[input_port[1]], excite)
+    return LoadingModel(R_if=r_if, R_of=r_of, f=float(f))
 
 
 def outcome(measure, *args):

@@ -323,6 +323,20 @@ def test_crosscheck_drops_no_parameter_value(capsys, options, message, fmt):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["impedance", "fig3a.net", "--port", "c", "0", "--port", "b", "0"], "--port"),
+    (["crosscheck", "--case", "1", "--case", "2"], "--case"),
+    (["crosscheck", "--case", "1", "--sweep", "K=1,2", "--sweep", "r1=5"], "--sweep"),
+    (["loading", "fig3d.net", "--format", "json", "--format", "table"], "--format"),
+    (["validate", "fig4.net", "--format", "json", "--format", "json"], "--format"),
+])
+def test_a_single_valued_option_given_twice_is_an_error(capsys, netlists_dir, argv, option):
+    # the first value would be dropped without a word; only --set repeats
+    argv = [str(netlists_dir / a) if a.endswith(".net") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {option} is given more than once\n")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("option, value, problem", [
     ("--set", "k=", "bad numeric value ''"),

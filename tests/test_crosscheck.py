@@ -268,7 +268,8 @@ def blackman_impedance(lc: Circuit, port, reference: str) -> float:
 
     def return_ratio(*shunt):
         driven = Circuit(others + (independent,) + shunt)
-        return -mna.solve(mna.assemble(driven)).across((source.cp, source.cn))
+        solution = mna.solve(mna.assemble(driven))
+        return solution.voltage(source.cn) - solution.voltage(source.cp)
 
     return z0 * (1 + return_ratio(VSource("short", *port, 0.0))) / (1 + return_ratio())
 

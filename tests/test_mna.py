@@ -318,9 +318,7 @@ def test_case2_model_impedance(netlists_dir):
 
 @given(active_meshes())
 def test_driving_point_equals_the_full_solve(case):
-    # reading the test branch after forward elimination is the full solve's
-    # back substitution of that one unknown, and the port reduction before
-    # it keeps 34 digits: equal to the bit
+    # the port reduction before the solve keeps 34 digits: equal to the bit
     _, lc, port = case
 
     def outcome(route):
