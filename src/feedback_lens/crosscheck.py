@@ -247,7 +247,7 @@ def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     in ``mna.probed_system``."""
     view = mna.seen_at(lc, port)
     gain = sfg.elimination_gain(flow_graph_of_system(mna.probed_system(view, port)),
-                                SYSTEM_SOURCE, f"I({mna.TEST_SOURCE})")
+                                SYSTEM_SOURCE, mna.TEST_CURRENT)
     return mna.impedance_from_current(-gain, view, port)
 
 

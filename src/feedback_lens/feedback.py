@@ -32,7 +32,6 @@ from .netlist import (
     Vccs,
     Vcvs,
 )
-from .smallsignal import restrict
 
 
 class UnclassifiableTopology(Exception):
@@ -313,10 +312,12 @@ def loading_effect(
 
 
 def loading_of_circuit(circuit: Circuit) -> LoadingModel:
-    """Classify, isolate the feedback network and read its loading off the
-    network as its two sides see it (``mna.seen_at``, the one reduction)."""
+    """Classify, isolate the feedback network as parsed and read its loading
+    off the network as its two sides see it (``mna.seen_at``, the one
+    reduction); ``loading_effect`` refuses a macro in it by its own name."""
     topo, input_side, output_side = _classify(circuit)
-    fb = restrict(circuit, circuit.annotations.feedback_elements)
+    names = circuit.annotations.feedback_elements
+    fb = Circuit(tuple(e for e in circuit.elements if e.name in names))
     return loading_effect(mna.seen_at(fb, input_side + output_side), topo,
                           input_side, output_side)
 

@@ -47,33 +47,16 @@ _ZERO = Decimal(0)
 
 @dataclass(frozen=True)
 class MnaSystem:
-    """``rows[i]`` maps column to entry for the non-zero entries of row i."""
+    """``rows[i]`` maps column to entry for the non-zero entries of row i,
+    and ``names[i]`` names unknown i: ``V(node)``, then ``I(branch)``."""
 
     rows: tuple[dict[int, Decimal], ...]
     rhs: tuple[Decimal, ...]
-    nodes: tuple[str, ...]
-    branches: tuple[str, ...]
+    names: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Name of each unknown: ``V(node)``, then ``I(branch)``."""
-        return (tuple(f"V({n})" for n in self.nodes)
-                + tuple(f"I({b})" for b in self.branches))
-
-
-@dataclass(frozen=True)
-class Solution:
-    node_voltages: dict[str, float]
-    branch_currents: dict[str, float]
-
-    def voltage(self, node: str) -> float:
-        if node == GROUND:
-            return 0.0
-        return self.node_voltages[node]
 
 
 def assemble(lc: Circuit) -> MnaSystem:
@@ -121,7 +104,8 @@ def assemble(lc: Circuit) -> MnaSystem:
                     couple(k, dim, row[e.cp], row[e.cn], -Decimal(e.gain))
 
     rows = tuple({j: v for j, v in r.items() if v and j != dim} for r in a[:dim])
-    return MnaSystem(rows, tuple(b[:dim]), nodes, branches)
+    names = tuple(f"V({n})" for n in nodes) + tuple(f"I({k})" for k in branches)
+    return MnaSystem(rows, tuple(b[:dim]), names)
 
 
 def _eliminate(system: MnaSystem):
@@ -162,9 +146,10 @@ def _eliminate(system: MnaSystem):
     return rows, b, pivots
 
 
-def solve(system: MnaSystem) -> Solution:
-    """Every unknown of ``system``: ``_eliminate``, then back substitution,
-    then one rounding of each unknown to float."""
+def solve(system: MnaSystem) -> dict[str, float]:
+    """Every unknown of ``system`` by its name, in ``system.names`` order:
+    ``_eliminate``, then back substitution, then one rounding of each
+    unknown to float."""
     dim = system.dimension
     with localcontext(DECIMAL):
         rows, b, pivots = _eliminate(system)
@@ -172,20 +157,20 @@ def solve(system: MnaSystem) -> Solution:
         for k in reversed(range(dim)):
             i, pivot = pivots[k]
             x[k] = (b[i] - sum(v * x[j] for j, v in rows[i].items())) / pivot
-    values = [float(v) for v in x]
-    n = len(system.nodes)
-    return Solution(dict(zip(system.nodes, values[:n])), dict(zip(system.branches, values[n:])))
+    return {name: float(v) for name, v in zip(system.names, x)}
 
 
-# Branch of the unit test voltage that probed_system attaches across a port.
+# Branch of the unit test voltage that probed_system attaches across a port,
+# and the name of its current among the unknowns.
 TEST_SOURCE = "__dpi_test"
+TEST_CURRENT = f"I({TEST_SOURCE})"
 
 
 def probed_system(lc: Circuit, port: tuple[str, str]) -> MnaSystem:
     """System of ``lc`` with its independent sources zeroed (voltage sources
     shorted, current sources opened) and a unit test voltage ``TEST_SOURCE``
-    across ``port``; the current that the port draws from it is
-    ``-I(TEST_SOURCE)``, the system's last unknown, because the test source
+    across ``port``; the current that the port draws from it is minus
+    the unknown ``TEST_CURRENT``, the system's last, because the test source
     is the last element and branch currents follow the node voltages.  A
     port whose two nodes are the same raises ``ValueError``, and a port node
     ``lc`` lacks raises ``UnknownNode``."""
@@ -236,7 +221,7 @@ def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     which the flow-graph route on ``lc`` at the same port, either way round,
     reuses.  A bad port raises as in ``probed_system``."""
     view = seen_at(lc, port)
-    delivered = -solve(probed_system(view, port)).branch_currents[TEST_SOURCE]
+    delivered = -solve(probed_system(view, port))[TEST_CURRENT]
     return impedance_from_current(delivered, view, port)
 
 

@@ -8,15 +8,13 @@ rout, driving the out terminal through a synthesized internal node named
 ``<name>__thev`` so expansions are reproducible, and rin, when given,
 across its inputs.
 
-``linearize`` expands every element of a parsed circuit and ``restrict``
-only the named ones, each macro in place, into a ``Circuit`` of primitives
-with no title or annotations.
+``linearize`` expands every element of a parsed circuit, each macro in
+place, into a ``Circuit`` of primitives with no title or annotations.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
 
 from .netlist import GROUND, BjtPi, Circuit, Element, OpAmp, Primitive, Resistor, Vccs, Vcvs
 
@@ -59,8 +57,3 @@ def _expand(e: Element) -> list[Primitive]:
 def linearize(circuit: Circuit) -> Circuit:
     """Replace every macro with its primitive model; primitives pass through."""
     return Circuit(tuple(p for e in circuit.elements for p in _expand(e)))
-
-
-def restrict(circuit: Circuit, names: Collection[str]) -> Circuit:
-    """``linearize`` of the named elements of ``circuit`` alone."""
-    return Circuit(tuple(p for e in circuit.elements if e.name in names for p in _expand(e)))

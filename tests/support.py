@@ -114,11 +114,18 @@ def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
     return float(volts[port[0]] - volts[port[1]])
 
 
+def feedback_network(circuit: Circuit) -> Circuit:
+    """The ``.feedback`` elements of ``circuit`` as parsed, which
+    ``feedback.loading_of_circuit`` measures."""
+    names = circuit.annotations.feedback_elements
+    return Circuit(tuple(e for e in circuit.elements if e.name in names))
+
+
 def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """``mna.driving_point_impedance`` of ``lc`` itself, not of
     ``mna.seen_at(lc, port)``: every unknown of its probed system solved."""
     solution = mna.solve(mna.probed_system(lc, port))
-    return mna.impedance_from_current(-solution.branch_currents[mna.TEST_SOURCE], lc, port)
+    return mna.impedance_from_current(-solution[mna.TEST_CURRENT], lc, port)
 
 
 def exact_probe(elements, lift: int = 0):
@@ -200,7 +207,7 @@ def three_probe_loading(net: Circuit, topo, input_port, output_port) -> LoadingM
     def resistance(side, other, shorted):
         shorts = (VSource("__short", *other, 0.0),) if shorted else ()
         for node in side:
-            if node not in net.with_elements(*shorts).nodes:
+            if node not in Circuit(net.elements + shorts).nodes:
                 raise mna.UnknownNode(f"unknown node {node!r}")
         current = defined(lambda x: -x["__test"], VSource("__test", *side, 1.0), *shorts)
         return float(1 / current) if current else math.inf

@@ -180,16 +180,16 @@ def test_criterion_7_mna_property_suite():
         mesh = random_resistor_mesh(rng, n_nodes=5)
         v_src = VSource("Vs", "n1", GROUND, float(rng.uniform(0.5, 5.0)))
         i_src = ISource("Is", GROUND, "n3", float(rng.uniform(0.1, 2.0)))
-        both = mna.solve(mna.assemble(mesh.with_elements(v_src, i_src)))
+        both = mna.solve(mna.assemble(Circuit(mesh.elements + (v_src, i_src))))
         only_v = mna.solve(mna.assemble(
-            mesh.with_elements(v_src, ISource("Is", GROUND, "n3", 0.0))))
+            Circuit(mesh.elements + (v_src, ISource("Is", GROUND, "n3", 0.0)))))
         only_i = mna.solve(mna.assemble(
-            mesh.with_elements(VSource("Vs", "n1", GROUND, 0.0), i_src)))
-        for node in both.node_voltages:
-            total = only_v.voltage(node) + only_i.voltage(node)
-            if both.voltage(node) == total == 0.0:
+            Circuit(mesh.elements + (VSource("Vs", "n1", GROUND, 0.0), i_src))))
+        for name in (n for n in both if n.startswith("V(")):
+            total = only_v[name] + only_i[name]
+            if both[name] == total == 0.0:
                 continue
-            track(both.voltage(node), total)
+            track(both[name], total)
 
     for _ in range(40):
         ra = float(10 ** rng.uniform(1, 7))

@@ -200,13 +200,15 @@ def test_loading_port_node_outside_the_feedback_network(capsys, netlists_dir, tm
 
 
 def test_loading_rejects_an_active_feedback_element(capsys, tmp_path):
-    net = tmp_path / "active.net"
-    net.write_text("Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRC c 0 4.7k\nQ2 c b 0 gm=1m rpi=10k ro=1M\n"
-                   "RG b 0 10k\n.input b 0\n.output c 0\n.feedback Q2 RG\n")
-    code, out, err = run(capsys, "loading", str(net))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Q2" in err and "purely resistive" in err
+    # the element is named as the netlist writes it, not by a part of its model
+    for active in ("Q2 c b 0 gm=1m rpi=10k ro=1M", "X1 c 0 b K=10 rout=1k"):
+        name = active.split()[0]
+        net = tmp_path / "active.net"
+        net.write_text(f"Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRC c 0 4.7k\n{active}\n"
+                       f"RG b 0 10k\n.input b 0\n.output c 0\n.feedback {name} RG\n")
+        code, out, err = run(capsys, "loading", str(net))
+        assert (code, out) == (1, "")
+        assert err == f"error: feedback network must be purely resistive: {name} is not\n"
 
 
 def test_runs_without_numpy(netlists_dir):

@@ -158,12 +158,12 @@ def test_flow_graph_of_system_reproduces_sensitivities(netlists_dir):
     from feedback_lens.netlist import VSource
 
     lc = linearize(parse_netlist_file(str(netlists_dir / "fig7.net")))
-    driven = lc.with_elements(VSource("Vs", "c", GROUND, 1.0))
+    driven = Circuit(lc.elements + (VSource("Vs", "c", GROUND, 1.0),))
     system = mna.assemble(driven)
     graph = cc.flow_graph_of_system(system)
     gain = sfg.mason_gain(graph, "src", "V(e)")
     solution = mna.solve(system)
-    assert gain == pytest.approx(solution.voltage("e"), rel=1e-9)
+    assert gain == pytest.approx(solution["V(e)"], rel=1e-9)
 
 
 def test_mason_driving_point_impedance_matches_lu_route():
@@ -256,7 +256,7 @@ def blackman_impedance(lc: Circuit, port, reference: str) -> float:
     independent one of its gain times a unit control; T_sc is taken with
     the port shorted, T_oc with it open.  None of these three solves stamps
     the reference source as controlled."""
-    source = lc.element(reference)
+    (source,) = (e for e in lc.elements if e.name == reference)
     others = tuple(e for e in lc.elements if e is not source)
     if isinstance(source, Vcvs):
         zeroed = replace(source, gain=0.0)
@@ -268,8 +268,8 @@ def blackman_impedance(lc: Circuit, port, reference: str) -> float:
 
     def return_ratio(*shunt):
         driven = Circuit(others + (independent,) + shunt)
-        solution = mna.solve(mna.assemble(driven))
-        return solution.voltage(source.cn) - solution.voltage(source.cp)
+        volts = mna.solve(mna.assemble(driven)) | {f"V({GROUND})": 0.0}
+        return volts[f"V({source.cn})"] - volts[f"V({source.cp})"]
 
     return z0 * (1 + return_ratio(VSource("short", *port, 0.0))) / (1 + return_ratio())
 

@@ -143,7 +143,7 @@ def test_flow_graph_impedance_on_large_meshes(n_nodes):
         mesh = random_resistor_mesh(rng, n_nodes=n_nodes)
         system = mna.probed_system(mesh, ("n1", GROUND))
         gain = sfg.elimination_gain(cc.flow_graph_of_system(system), cc.SYSTEM_SOURCE,
-                                    f"I({mna.TEST_SOURCE})")
+                                    mna.TEST_CURRENT)
         direct = mna.driving_point_impedance(mesh, ("n1", GROUND))
         assert -1 / gain == pytest.approx(direct, rel=1e-6)
 
@@ -151,7 +151,7 @@ def test_flow_graph_impedance_on_large_meshes(n_nodes):
 def test_non_finite_coefficient_ratio_rejected():
     # b's coefficient over a's pivot overflows a float
     rows = ({0: Decimal(1), 1: Decimal("1e400")}, {1: Decimal(1)})
-    system = mna.MnaSystem(rows, (Decimal(1), Decimal(0)), ("a", "b"), ())
+    system = mna.MnaSystem(rows, (Decimal(1), Decimal(0)), ("V(a)", "V(b)"))
     with pytest.raises(ValueError, match=r"^edge V\(b\)->V\(a\) gain must be finite$"):
         cc.flow_graph_of_system(system)
 
@@ -159,6 +159,7 @@ def test_non_finite_coefficient_ratio_rejected():
 def test_structurally_singular_system_is_rejected():
     # rows 0 and 1 both have their only non-zero in column 0
     rows = ({0: Decimal(1)}, {0: Decimal(2)}, {1: Decimal(1), 2: Decimal(3)})
-    system = mna.MnaSystem(rows, (Decimal(1), Decimal(0), Decimal(0)), ("a", "b", "c"), ())
+    system = mna.MnaSystem(rows, (Decimal(1), Decimal(0), Decimal(0)),
+                           ("V(a)", "V(b)", "V(c)"))
     with pytest.raises(mna.SingularMatrix, match="structurally singular"):
         cc.flow_graph_of_system(system)

@@ -23,9 +23,9 @@ from feedback_lens.netlist import (
     parse_netlist_file,
     serialize,
 )
-from feedback_lens.smallsignal import linearize, restrict
-from support import (draw_params, feedback_amplifiers, fig3_amplifier, outcome, resistor_meshes,
-                     three_probe_loading)
+from feedback_lens.smallsignal import linearize
+from support import (draw_params, feedback_amplifiers, feedback_network, fig3_amplifier, outcome,
+                     resistor_meshes, three_probe_loading)
 
 TYPICAL = AmplifierParams.typical()
 
@@ -303,7 +303,7 @@ def test_input_side_outside_the_feedback_network_raises_unknown_node(netlists_di
     circuit = parse_netlist(text)
     input_side, output_side = fb._classify(circuit)[1:]
     assert input_side == ("e", "r")
-    network = restrict(circuit, circuit.annotations.feedback_elements)
+    network = feedback_network(circuit)
     with pytest.raises(mna.UnknownNode, match="'r'"):
         fb.loading_effect(network, fb.classify_topology(circuit), input_side, output_side)
 
@@ -342,7 +342,7 @@ def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
     # of the whole network define; a floating island changes neither
     topo = fb.classify_topology(circuit)
     input_side, output_side = fb._classify(circuit)[1:]
-    whole = restrict(circuit, circuit.annotations.feedback_elements)
+    whole = feedback_network(circuit)
     assert_same_loading(outcome(fb.loading_of_circuit, circuit),
                         outcome(three_probe_loading, whole, topo, input_side, output_side),
                         topo)
@@ -394,7 +394,7 @@ def test_loading_with_both_ports_returned_to_a_node_outside_the_network():
                             "RC c r 4.7k\nRR r 0 1k\n.input b r\n.output c r\n.feedback RF RG")
     input_side, output_side = fb._classify(circuit)[1:]
     assert (input_side, output_side) == (("b", "r"), ("c", "r"))
-    whole = restrict(circuit, circuit.annotations.feedback_elements)
+    whole = feedback_network(circuit)
     assert fb.loading_of_circuit(circuit) == fb.loading_effect(
         whole, fb.classify_topology(circuit), input_side, output_side)
 

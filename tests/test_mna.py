@@ -12,10 +12,10 @@ from feedback_lens.feedback import AmplifierParams, _classify, loading_of_circui
 from feedback_lens.netlist import (
     GROUND, BjtPi, Circuit, ISource, OpAmp, Resistor, Vccs, Vcvs, VSource, parse_netlist,
 )
-from feedback_lens.smallsignal import linearize, restrict
+from feedback_lens.smallsignal import linearize
 
 from support import (active_meshes, conductance_impedance_oracle, decades, feedback_amplifiers,
-                     outcome, random_resistor_mesh, reference_reduce_onto, resistive_networks,
+                     feedback_network, outcome, random_resistor_mesh, reference_reduce_onto, resistive_networks,
                      resistor_meshes, unreduced_impedance)
 
 # Nodal solutions of the two measurement models, computed from their node
@@ -34,7 +34,7 @@ def test_assemble_dimensions():
 def test_assemble_empty_circuit():
     system = mna.assemble(Circuit(()))
     assert system.dimension == 0
-    assert mna.solve(system) == mna.Solution({}, {})
+    assert mna.solve(system) == {}
 
 
 @pytest.mark.parametrize("macro", [BjtPi("Q1", "b", "c", GROUND, 0.04, 2500.0, 1e5),
@@ -49,18 +49,18 @@ def test_a_macro_is_not_stamped(macro):
 def test_voltage_divider():
     lc = linearize(parse_netlist("V1 a 0 1\nR1 a m 1k\nR2 m 0 1k"))
     solution = mna.solve(mna.assemble(lc))
-    assert solution.voltage("m") == pytest.approx(0.5, rel=1e-12)
-    assert solution.voltage("a") == pytest.approx(1.0, rel=1e-12)
+    assert solution["V(m)"] == pytest.approx(0.5, rel=1e-12)
+    assert solution["V(a)"] == pytest.approx(1.0, rel=1e-12)
     # branch current is defined + to - through the source, so a sourcing
     # supply reads negative
-    assert solution.branch_currents["V1"] == pytest.approx(-1.0 / 2000.0, rel=1e-12)
+    assert solution["I(V1)"] == pytest.approx(-1.0 / 2000.0, rel=1e-12)
 
 
 def test_current_source_direction():
     # 1 A drawn from ground and delivered into node a across 50 ohm.
     lc = Circuit((ISource("I1", GROUND, "a", 1.0), Resistor("R1", "a", GROUND, 50.0)))
     solution = mna.solve(mna.assemble(lc))
-    assert solution.voltage("a") == pytest.approx(50.0, rel=1e-12)
+    assert solution["V(a)"] == pytest.approx(50.0, rel=1e-12)
 
 
 def test_contradictory_sources_raise():
@@ -96,7 +96,7 @@ def test_zero_row_names_its_unknown(netlists_dir):
 
 def _system(rows, rhs):
     rows = tuple({j: Decimal(v) for j, v in row.items()} for row in rows)
-    return mna.MnaSystem(rows, tuple(map(Decimal, rhs)), ("a", "b"), ())
+    return mna.MnaSystem(rows, tuple(map(Decimal, rhs)), ("V(a)", "V(b)"))
 
 
 def test_pivot_is_judged_relative_to_its_row():
@@ -107,9 +107,9 @@ def test_pivot_is_judged_relative_to_its_row():
         mna.solve(near)
     # a row of tiny entries is well scaled: 1 A into 1e15 ohm
     tiny = _system([{0: 1e-15}, {0: -1e-15, 1: 2e-15}], [1.0, 0.0])
-    voltages = mna.solve(tiny).node_voltages
-    assert voltages["a"] == pytest.approx(1e15, rel=1e-12)
-    assert voltages["b"] == pytest.approx(5e14, rel=1e-12)
+    voltages = mna.solve(tiny)
+    assert voltages["V(a)"] == pytest.approx(1e15, rel=1e-12)
+    assert voltages["V(b)"] == pytest.approx(5e14, rel=1e-12)
 
 
 def test_assembled_rows_hold_only_non_zero_entries():
@@ -203,7 +203,7 @@ def test_port_behind_a_floating_resistor_chain_is_open(route, r1, r2):
 def test_open_output_side_of_a_split_feedback_network(route):
     circuit = parse_netlist(SPLIT_FEEDBACK)
     _, output_side = _classify(circuit)[1:]
-    network = restrict(circuit, circuit.annotations.feedback_elements)
+    network = feedback_network(circuit)
     assert route(network, output_side) == math.inf
     assert loading_of_circuit(circuit).R_of == math.inf
 
@@ -214,9 +214,9 @@ def test_stamps_cancel_exactly_on_open_feedback_ports(netlists_dir):
     for text in ((netlists_dir / "irrelevant.net").read_text(), SPLIT_FEEDBACK):
         circuit = parse_netlist(text)
         _, output_side = _classify(circuit)[1:]
-        network = restrict(circuit, circuit.annotations.feedback_elements)
+        network = feedback_network(circuit)
         solution = mna.solve(mna.probed_system(network, output_side))
-        assert solution.branch_currents[mna.TEST_SOURCE] == 0.0
+        assert solution[mna.TEST_CURRENT] == 0.0
 
 
 # A high-impedance port beside a large conductance elsewhere, |Z G| = 1e15
@@ -251,13 +251,13 @@ def test_port_is_open_follows_current_paths():
     assert mna.port_is_open(lc, ("a", GROUND))
     assert mna.port_is_open(lc, ("a", "absent"))
     assert mna.port_is_open(lc, ("absent", "a"))
-    grounded = lc.with_elements(Resistor("R2", "e", GROUND, 1.0))
+    grounded = Circuit(lc.elements + (Resistor("R2", "e", GROUND, 1.0),))
     assert not mna.port_is_open(grounded, ("a", GROUND))
     # an infinite resistance, and a VCCS controlled by a node against
     # itself, move no current, so neither joins e to ground
     for idle in (Resistor("R3", "e", GROUND, math.inf), Resistor("R4", "e", GROUND, -math.inf),
                  Vccs("G2", "e", GROUND, "a", "a", 1e-3), Vccs("G3", GROUND, "e", "e", "e", 1.0)):
-        assert mna.port_is_open(lc.with_elements(idle), ("a", GROUND)), idle.name
+        assert mna.port_is_open(Circuit(lc.elements + (idle,)), ("a", GROUND)), idle.name
 
 
 @st.composite
@@ -364,10 +364,10 @@ def test_reciprocity_on_passive_networks():
         assert forward == pytest.approx(backward, rel=1e-12)
         # transfer reciprocity: voltage at (n3,0) per amp into (n1,0) equals
         # voltage at (n1,0) per amp into (n3,0)
-        a = mesh.with_elements(ISource("Iprobe", GROUND, "n1", 1.0))
-        b = mesh.with_elements(ISource("Iprobe", GROUND, "n3", 1.0))
-        va = mna.solve(mna.assemble(a)).voltage("n3")
-        vb = mna.solve(mna.assemble(b)).voltage("n1")
+        a = Circuit(mesh.elements + (ISource("Iprobe", GROUND, "n1", 1.0),))
+        b = Circuit(mesh.elements + (ISource("Iprobe", GROUND, "n3", 1.0),))
+        va = mna.solve(mna.assemble(a))["V(n3)"]
+        vb = mna.solve(mna.assemble(b))["V(n1)"]
         assert va == pytest.approx(vb, rel=1e-12)
 
 
@@ -377,14 +377,14 @@ def test_superposition():
         mesh = random_resistor_mesh(rng, n_nodes=5)
         v_src = VSource("Vs", "n1", GROUND, float(rng.uniform(0.5, 5.0)))
         i_src = ISource("Is", GROUND, "n3", float(rng.uniform(0.1, 2.0)))
-        both = mna.solve(mna.assemble(mesh.with_elements(v_src, i_src)))
+        both = mna.solve(mna.assemble(Circuit(mesh.elements + (v_src, i_src))))
         only_v = mna.solve(mna.assemble(
-            mesh.with_elements(v_src, ISource("Is", GROUND, "n3", 0.0))))
+            Circuit(mesh.elements + (v_src, ISource("Is", GROUND, "n3", 0.0)))))
         only_i = mna.solve(mna.assemble(
-            mesh.with_elements(VSource("Vs", "n1", GROUND, 0.0), i_src)))
-        for node in both.node_voltages:
-            total = only_v.voltage(node) + only_i.voltage(node)
-            assert both.voltage(node) == pytest.approx(total, rel=1e-12, abs=1e-15)
+            Circuit(mesh.elements + (VSource("Vs", "n1", GROUND, 0.0), i_src))))
+        for name in (n for n in both if n.startswith("V(")):
+            total = only_v[name] + only_i[name]
+            assert both[name] == pytest.approx(total, rel=1e-12, abs=1e-15)
 
 
 def test_parallel_and_series_composition():
@@ -421,7 +421,7 @@ def test_transfer_open_loop_branch_current():
         )
     )
     expected = k / (r1 + (r_out + r_pi) / (beta + 1.0))
-    i_o_per_volt = mna.solve(mna.assemble(lc)).voltage("e") / r1
+    i_o_per_volt = mna.solve(mna.assemble(lc))["V(e)"] / r1
     assert i_o_per_volt == pytest.approx(expected, rel=1e-9)
     assert expected == pytest.approx(202.0 / 1207.0, rel=1e-12)
 
@@ -437,12 +437,7 @@ def test_residual_is_tight():
     lc = linearize(parse_netlist("V1 a 0 1\nR1 a m 1k\nR2 m 0 1k\nR3 m b 10k\nR4 b 0 1M"))
     system = mna.assemble(lc)
     solution = mna.solve(system)
-    x = np.zeros(system.dimension)
-    for i, name in enumerate(system.names):
-        if name.startswith("V("):
-            x[i] = solution.node_voltages[name[2:-1]]
-        else:
-            x[i] = solution.branch_currents[name[2:-1]]
+    x = np.array([solution[name] for name in system.names])
     matrix = np.zeros((system.dimension, system.dimension))
     for i, row in enumerate(system.rows):
         for j, entry in row.items():

@@ -57,10 +57,11 @@ def test_node_set_is_ground_and_every_terminal_or_none():
 def test_case1_schematic_netlist():
     circuit = parse_netlist(FIG4_TEXT)
     assert len(circuit.elements) == 4
-    assert isinstance(circuit.element("X1"), OpAmp)
-    assert isinstance(circuit.element("Q1"), BjtPi)
-    assert circuit.element("X1").rout == 500e3
-    assert circuit.element("Q1").beta == pytest.approx(100.0)
+    by_name = {e.name: e for e in circuit.elements}
+    assert isinstance(by_name["X1"], OpAmp)
+    assert isinstance(by_name["Q1"], BjtPi)
+    assert by_name["X1"].rout == 500e3
+    assert by_name["Q1"].gm * by_name["Q1"].rpi == pytest.approx(100.0)
     ann = circuit.annotations
     assert ann.input_port == ("vin", "0")
     assert ann.output_port == ("c", "0")
@@ -173,19 +174,19 @@ def test_validate_accepts_good_circuit():
 
 def test_validate_flags_floating_node():
     report = validate(parse_netlist("R1 a 0 1k\nR2 x y 1k"))
-    assert "floating-node" in report.codes()
+    assert "floating-node" in {v.code for v in report.violations}
     subjects = {v.subject for v in report.violations}
     assert {"x", "y"} <= subjects
 
 
 def test_validate_flags_missing_ground():
     report = validate(parse_netlist("R1 a b 1k"))
-    assert "no-ground" in report.codes()
+    assert "no-ground" in {v.code for v in report.violations}
 
 
 def test_validate_flags_nonpositive_resistance():
     report = validate(parse_netlist("R1 a 0 -5"))
-    assert "nonpositive-value" in report.codes()
+    assert "nonpositive-value" in {v.code for v in report.violations}
 
 
 def test_validate_value_checks_of_every_kind():
@@ -211,10 +212,10 @@ def test_validate_value_checks_of_every_kind():
 
 def test_validate_flags_bad_annotations():
     report = validate(parse_netlist("R1 a 0 1k\n.input a 0\n.output a 0\n.feedback RX"))
-    assert "ports-equal" in report.codes()
-    assert "unknown-feedback-element" in report.codes()
+    assert "ports-equal" in {v.code for v in report.violations}
+    assert "unknown-feedback-element" in {v.code for v in report.violations}
     report = validate(parse_netlist("R1 a 0 1k\n.input zz 0"))
-    assert "unknown-port-node" in report.codes()
+    assert "unknown-port-node" in {v.code for v in report.violations}
 
 
 def test_fixture_files_parse_validate_and_round_trip(netlists_dir):
@@ -227,10 +228,10 @@ def test_fixture_files_parse_validate_and_round_trip(netlists_dir):
 
 def test_opamp_optional_rin():
     circuit = parse_netlist("X1 p m o K=1000 rout=500k rin=1M")
-    amp = circuit.element("X1")
+    (amp,) = circuit.elements
     assert amp.rin == 1e6
     assert parse_netlist(serialize(circuit)) == circuit
-    bare = parse_netlist("X1 p m o K=1000 rout=500k").element("X1")
+    (bare,) = parse_netlist("X1 p m o K=1000 rout=500k").elements
     assert bare.rin is None
 
 
