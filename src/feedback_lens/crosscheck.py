@@ -241,14 +241,13 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.Graph:
 
 def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """Driving-point impedance by node elimination on the flow graph of the
-    probed nodal system of ``mna.seen_at(lc, port)``: a second route to the
-    nodal solve from the view the nodal route built at either orientation
-    of the port, which it reads openness from too.  A bad port raises as
-    in ``mna.probed_system``."""
-    view = mna.seen_at(lc, port)
-    gain = sfg.elimination_gain(flow_graph_of_system(mna.probed_system(view, port)),
-                                SYSTEM_SOURCE, mna.TEST_CURRENT)
-    return mna.impedance_from_current(-gain, view, port)
+    probed nodal system of ``mna.probe(lc, port)``: a second route to the
+    nodal solve from the system, and the openness, that the nodal route at
+    the same port reads too, so neither route stamps or searches twice.  A
+    bad port raises as in ``mna.probed_system``."""
+    system, is_open = mna.probe(lc, port)
+    gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE, mna.TEST_CURRENT)
+    return mna.impedance_from_current(-gain, is_open)
 
 
 # --------------------------------------------------------------------------

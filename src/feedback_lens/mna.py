@@ -22,7 +22,7 @@ from decimal import Context, Decimal, localcontext
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .netlist import GROUND, Circuit, ISource, Primitive, Resistor, Vccs, Vcvs, VSource, reachable
+from .netlist import GROUND, Circuit, ISource, Resistor, Vccs, Vcvs, VSource, reachable
 
 
 class SingularMatrix(Exception):
@@ -59,49 +59,66 @@ class MnaSystem:
         return len(self.rows)
 
 
+def conductance(ohms) -> Decimal:
+    """``1 / Decimal(ohms)``, correctly rounded in the ambient context.  A
+    finite float takes one division of its integer ratio, which rounds the
+    same exact quotient to the same ``Decimal``; an infinite or a
+    ``Decimal`` resistance is converted first."""
+    if type(ohms) is float and math.isfinite(ohms):
+        n, d = ohms.as_integer_ratio()
+        return Decimal(d) / n
+    return 1 / Decimal(ohms)
+
+
+def _couple(a: list[dict[int, Decimal]], p: int, n: int, cp: int, cn: int, g: Decimal):
+    """Add the current g * (v[cp] - v[cn]) leaving row p and entering row n
+    to the rows ``a`` in place; none for p == n or cp == cn, whose stamps
+    would cancel only to rounding."""
+    if p != n and cp != cn:
+        m, rp, rn = -g, a[p], a[n]
+        rp[cp] = rp.get(cp, _ZERO) + g
+        rp[cn] = rp.get(cn, _ZERO) + m
+        rn[cp] = rn.get(cp, _ZERO) + m
+        rn[cn] = rn.get(cn, _ZERO) + g
+
+
 def assemble(lc: Circuit) -> MnaSystem:
-    """Stamp the standard MNA matrix for a circuit of primitives; any other
-    element raises ``TypeError``."""
+    """Stamp the standard MNA matrix for a circuit of primitives, reading
+    each element's type once and writing its entries in place; a resistor
+    stamps its ``conductance``.  Any other element raises ``TypeError``."""
     nodes = tuple(sorted(lc.nodes - {GROUND}))
-    branches = tuple(e.name for e in lc.elements if isinstance(e, (VSource, Vcvs)))
+    branches = tuple(e.name for e in lc.elements if type(e) in (VSource, Vcvs))
     dim = len(nodes) + len(branches)
     # Ground takes the spare index dim; its row and column are dropped below.
     row = {n: i for i, n in enumerate(nodes)} | {GROUND: dim}
-    branch_row = {name: len(nodes) + i for i, name in enumerate(branches)}
     a: list[dict[int, Decimal]] = [{} for _ in range(dim + 1)]
     b = [_ZERO] * (dim + 1)
-
-    def couple(p: int, n: int, cp: int, cn: int, g: Decimal):
-        """Current g * (v[cp] - v[cn]) leaving row p and entering row n; none
-        for p == n or cp == cn, whose stamps would cancel only to rounding."""
-        if p == n or cp == cn:
-            return
-        for i, j, value in ((p, cp, g), (p, cn, -g), (n, cp, -g), (n, cn, g)):
-            a[i][j] = a[i].get(j, _ZERO) + value
-
+    k = len(nodes)  # the row of the next branch current
     with localcontext(DECIMAL):
         one = Decimal(1)
         for e in lc.elements:
-            if not isinstance(e, Primitive):
-                raise TypeError(f"cannot stamp element {e!r}")
-            p, n = row[e.n1], row[e.n2]
-            if isinstance(e, Resistor):
-                couple(p, n, p, n, one / Decimal(e.ohms))
-            elif isinstance(e, Vccs):
-                couple(p, n, row[e.cp], row[e.cn], Decimal(e.gm))
-            elif isinstance(e, ISource):
+            kind = type(e)
+            if kind is Resistor:
+                p, n = row[e.n1], row[e.n2]
+                _couple(a, p, n, p, n, conductance(e.ohms))
+            elif kind is Vccs:
+                _couple(a, row[e.n1], row[e.n2], row[e.cp], row[e.cn], Decimal(e.gm))
+            elif kind is ISource:
                 # e.amps flows n1 -> n2 through the source.
-                b[p] -= Decimal(e.amps)
-                b[n] += Decimal(e.amps)
-            else:
-                # A VSource or Vcvs: branch current k flows n1 -> n2 through it.
-                k = branch_row[e.name]
-                couple(p, n, k, dim, one)
-                couple(k, dim, p, n, one)
-                if isinstance(e, VSource):
+                b[row[e.n1]] -= Decimal(e.amps)
+                b[row[e.n2]] += Decimal(e.amps)
+            elif kind is VSource or kind is Vcvs:
+                # Branch current k flows n1 -> n2 through it.
+                p, n = row[e.n1], row[e.n2]
+                _couple(a, p, n, k, dim, one)
+                _couple(a, k, dim, p, n, one)
+                if kind is VSource:
                     b[k] = Decimal(e.volts)
                 else:
-                    couple(k, dim, row[e.cp], row[e.cn], -Decimal(e.gain))
+                    _couple(a, k, dim, row[e.cp], row[e.cn], -Decimal(e.gain))
+                k += 1
+            else:
+                raise TypeError(f"cannot stamp element {e!r}")
 
     rows = tuple({j: v for j, v in r.items() if v and j != dim} for r in a[:dim])
     names = tuple(f"V({n})" for n in nodes) + tuple(f"I({k})" for k in branches)
@@ -199,41 +216,53 @@ def port_is_open(lc: Circuit, port: tuple[str, str]) -> bool:
     return port[1] not in reachable(port[0], paths)
 
 
-def impedance_from_current(delivered: float, lc: Circuit,
-                           port: tuple[str, str]) -> float:
-    """Impedance of ``port`` of ``lc`` from the current a unit test voltage
-    delivers into it.  A port that ``port_is_open``, or that draws exactly no
-    current, reads ``math.inf``.  Openness is decided from the circuit's
+def probe(lc: Circuit, port: tuple[str, str]) -> tuple[MnaSystem, bool]:
+    """``(probed_system(view, port), port_is_open(view, port))`` for ``view =
+    seen_at(lc, port)``, the one probe both impedance routes read.  The view
+    keeps the pair by the ordered port, so the second route at a port
+    stamps nothing and searches nothing.  A bad port raises as in
+    ``probed_system``."""
+    view = seen_at(lc, port)
+    probes = vars(view).setdefault("_probes", {})
+    if (key := tuple(port)) not in probes:
+        probes[key] = probed_system(view, port), port_is_open(view, port)
+    return probes[key]
+
+
+def impedance_from_current(delivered: float, is_open: bool) -> float:
+    """Impedance of a port from the current a unit test voltage delivers
+    into it.  A port that is open (``port_is_open``), or that draws exactly
+    no current, reads ``math.inf``.  Openness is decided from the circuit's
     structure because an open port's solved current is rounding residue,
     which no threshold tells apart from the current of a real port of high
     impedance beside a large conductance."""
-    if delivered == 0.0 or port_is_open(lc, port):
+    if delivered == 0.0 or is_open:
         return math.inf
     return 1.0 / delivered
 
 
 def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """Impedance seen into ``port`` with all independent sources zeroed:
-    the current that ``solve`` finds the test source delivering.  Only that
-    last unknown is read, but through ``solve``, so that the benchmark's
-    trace of ``solve`` sees every nodal solve.  The probe, and the openness
-    of the port, are of ``seen_at(lc, port)``, whose nodes are few, and
-    which the flow-graph route on ``lc`` at the same port, either way round,
-    reuses.  A bad port raises as in ``probed_system``."""
-    view = seen_at(lc, port)
-    delivered = -solve(probed_system(view, port))[TEST_CURRENT]
-    return impedance_from_current(delivered, view, port)
+    the current that ``solve`` finds the test source delivering in the
+    system of ``probe(lc, port)``, which the flow-graph route at the same
+    port shares.  Only that last unknown is read, but through ``solve``, so
+    that the benchmark's trace of ``solve`` sees every nodal solve.  A bad
+    port raises as in ``probed_system``."""
+    system, is_open = probe(lc, port)
+    return impedance_from_current(-solve(system)[TEST_CURRENT], is_open)
 
 
 def seen_at(lc: Circuit, nodes) -> Circuit:
     """``lc`` as ``nodes`` see it, the only port reduction.  Ground,
     ``nodes`` and every terminal of an element other than a resistor stay,
-    and those elements pass through.  Each other node goes, fewest
-    neighbours first: a dangling one (cascading) with no arithmetic, then
-    the rest by the star-mesh transform (Kron reduction), giving each pair
-    a, b of its neighbours g_a * g_b / sum(g) in ``DECIMAL``.  Only a
-    surviving edge is converted, once, summed over its parallel resistors,
-    and each equivalent keeps its ohms as that ``Decimal``.  A resistor's
+    and those elements pass through; one pass over the elements sets them
+    apart and builds the resistors' edge lists.  Each other node goes,
+    fewest neighbours first: a dangling one (cascading) with no arithmetic,
+    then the rest by the star-mesh transform (Kron reduction), giving each
+    pair a, b of its neighbours g_a * g_b / sum(g) in ``DECIMAL``.  Only a
+    surviving edge is converted (``conductance``), once, summed over its
+    parallel resistors, and each equivalent keeps its ohms as that
+    ``Decimal``.  A resistor's
     node left with no neighbour stays as a self-looped infinite resistor:
     a kept one reads open, and a floating island leaves a nodal solve
     ``SingularMatrix`` as in ``lc``.  With nothing to reduce it is ``lc``
@@ -242,19 +271,21 @@ def seen_at(lc: Circuit, nodes) -> Circuit:
     views = vars(lc).setdefault("_seen_at", {})
     if (key := frozenset(nodes)) in views:
         return views[key]
-    others = tuple(e for e in lc.elements if not isinstance(e, Resistor))
-    keep = {GROUND, *key}.union(*(e.terminals for e in others))
-    if keep >= lc.nodes:
-        return lc
-    resistors = [e for e in lc.elements if isinstance(e, Resistor)]
-    ends = {GROUND}.union(*(e.terminals for e in resistors)) if others else lc.nodes
-    # in node order, which every step below keeps
-    ohms: dict[str, dict[str, list]] = {n: {} for n in sorted(ends)}
-    for e in resistors:
+    others, keep, edges = [], {GROUND, *key}, {GROUND: {}}
+    for e in lc.elements:
+        if type(e) is not Resistor:
+            others.append(e)
+            keep.update(e.terminals)
+            continue
+        one, other = edges.setdefault(e.n1, {}), edges.setdefault(e.n2, {})
         # an infinite resistance joins nothing, as assemble drops its zero
         if e.n1 != e.n2 and e.ohms not in (math.inf, -math.inf):
-            ohms[e.n1].setdefault(e.n2, []).append(e.ohms)
-            ohms[e.n2][e.n1] = ohms[e.n1][e.n2]
+            one.setdefault(e.n2, []).append(e.ohms)
+            other[e.n1] = one[e.n2]
+    if keep.issuperset(edges):
+        return lc
+    # in node order, which every step below keeps
+    ohms: dict[str, dict[str, list]] = {n: edges[n] for n in sorted(edges)}
     leaves = [v for v, nbrs in ohms.items() if len(nbrs) == 1 and v not in keep]
     while leaves:
         v = heappop(leaves)
@@ -266,7 +297,7 @@ def seen_at(lc: Circuit, nodes) -> Circuit:
     with localcontext(DECIMAL):
         adjacent: dict[str, dict[str, Decimal]] = {}
         for v, nbrs in ohms.items():
-            adjacent[v] = {a: adjacent[a][v] if a in adjacent else sum(1 / Decimal(r) for r in rs)
+            adjacent[v] = {a: adjacent[a][v] if a in adjacent else sum(map(conductance, rs))
                            for a, rs in nbrs.items()}
         heap = sorted((len(nbrs), v) for v, nbrs in adjacent.items() if v not in keep)
         while heap:
@@ -286,5 +317,5 @@ def seen_at(lc: Circuit, nodes) -> Circuit:
         elements = [Resistor(f"{a}~{b}", a, b, 1 / g)
                     for a, nbrs in adjacent.items() for b, g in nbrs.items() if a < b]
     elements += (Resistor(f"{a}~", a, a, math.inf) for a, nbrs in adjacent.items() if not nbrs)
-    views[key] = Circuit(others + tuple(elements))
+    views[key] = Circuit(tuple(others + elements))
     return views[key]

@@ -389,16 +389,18 @@ def _positive_value_violations(e: Element) -> list[Violation]:
 
 
 def reachable(start: str, edges: Iterable[tuple[str, str]]) -> set[str]:
-    """Nodes joined to ``start`` through the undirected ``edges``."""
-    adjacent: dict[str, set[str]] = {}
+    """Nodes joined to ``start`` through the undirected ``edges``, by a
+    walk of each node's neighbour list."""
+    adjacent: dict[str, list[str]] = {}
     for a, b in edges:
-        adjacent.setdefault(a, set()).add(b)
-        adjacent.setdefault(b, set()).add(a)
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
     reached, frontier = {start}, [start]
     while frontier:
-        for node in adjacent.get(frontier.pop(), set()) - reached:
-            reached.add(node)
-            frontier.append(node)
+        for node in adjacent.get(frontier.pop(), ()):
+            if node not in reached:
+                reached.add(node)
+                frontier.append(node)
     return reached
 
 

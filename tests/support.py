@@ -125,7 +125,7 @@ def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """``mna.driving_point_impedance`` of ``lc`` itself, not of
     ``mna.seen_at(lc, port)``: every unknown of its probed system solved."""
     solution = mna.solve(mna.probed_system(lc, port))
-    return mna.impedance_from_current(-solution[mna.TEST_CURRENT], lc, port)
+    return mna.impedance_from_current(-solution[mna.TEST_CURRENT], mna.port_is_open(lc, port))
 
 
 def exact_probe(elements, lift: int = 0):

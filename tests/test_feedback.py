@@ -458,16 +458,17 @@ def test_impedance_solves_only_systems_of_the_port_reduced_circuit(monkeypatch, 
     assert dimensions and max(dimensions) <= 8
 
 
-def probed_circuits(monkeypatch) -> list[Circuit]:
-    """The circuit of each ``mna.probed_system`` call from now on."""
+def spied_circuits(monkeypatch, name: str) -> list[Circuit]:
+    """The circuit of each call of the ``mna`` function ``name(lc, port)``
+    from now on."""
     calls = []
-    probed_system = mna.probed_system
+    original = getattr(mna, name)
 
     def spied(lc, port):
         calls.append(lc)
-        return probed_system(lc, port)
+        return original(lc, port)
 
-    monkeypatch.setattr(mna, "probed_system", spied)
+    monkeypatch.setattr(mna, name, spied)
     return calls
 
 
@@ -478,25 +479,28 @@ ROUTES = (mna.driving_point_impedance, crosscheck.mason_driving_point_impedance)
 @pytest.mark.parametrize("side", ["input_port", "output_port"])
 def test_both_impedance_routes_reduce_the_port_once(monkeypatch, routes, side):
     # whichever route runs second, or at the reversed port, probes the view
-    # the first one built
+    # the first one built, and it is stamped and searched once for each
+    # orientation of the port
     circuit = mesh_feedback_fig3a()
     lc, port = linearize(circuit), getattr(circuit.annotations, side)
-    probed = probed_circuits(monkeypatch)
+    probed = spied_circuits(monkeypatch, "probed_system")
+    searched = spied_circuits(monkeypatch, "port_is_open")
     first, second = (route(lc, port) for route in routes)
     assert second == pytest.approx(first, rel=crosscheck.ENGINE_RTOL)
     assert routes[0](lc, port[::-1]) == pytest.approx(first, rel=crosscheck.ENGINE_RTOL)
     view = mna.seen_at(lc, port)
     assert view is not lc and len(view.nodes) < 10
-    assert len(probed) == 3 and all(p is view for p in probed)
+    for calls in (probed, searched):
+        assert len(calls) == 2 and all(p is view for p in calls)
 
 
 def test_impedance_on_every_engine_reduces_the_port_once(monkeypatch, tmp_path, capsys):
     net = tmp_path / "mesh.net"
     net.write_text(serialize(mesh_feedback_fig3a()))
-    probed = probed_circuits(monkeypatch)
+    probed = spied_circuits(monkeypatch, "probed_system")
     assert cli.main(["impedance", str(net), "--port", "c", "0", "--all-engines"]) == 0
     assert "mason" in capsys.readouterr().out
-    assert len(probed) == 2 and probed[0] is probed[1] and len(probed[0].nodes) < 10
+    assert len(probed) == 1 and len(probed[0].nodes) < 10
 
 
 @pytest.mark.parametrize("build, port", [

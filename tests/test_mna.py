@@ -1,7 +1,7 @@
 import decimal
 import math
 from dataclasses import replace
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -642,3 +642,53 @@ def test_openness_of_the_port_view_is_openness_of_the_whole_circuit(route, rel, 
         assert got == expected
     else:
         assert got == pytest.approx(expected, rel=rel, abs=0)
+
+
+def route_outcome(route, lc, port):
+    """``route(lc, port)``, or the class of whatever it raised."""
+    try:
+        return route(lc, port)
+    except Exception as exc:
+        return type(exc)
+
+
+shared_probes = st.one_of(
+    active_meshes().map(lambda case: case[1:]),
+    amplifier_ports.map(lambda probe: (linearize(probe[0]), probe[1])))
+
+
+@settings(deadline=None)
+@given(probe=shared_probes, order=st.permutations(range(4)))
+@example(probe=INFINITE_OHM_NETWORKS["open"], order=[0, 1, 2, 3])
+@example(probe=(Circuit(BRIDGED_BY_INFINITY + (
+    Resistor("R4", "d", "b", 7e3), Vccs("G1", "d", "b", "d", "b", 1e-3))), ("a", "b")),
+    order=[1, 0, 3, 2])
+def test_a_shared_probe_answers_as_a_fresh_circuit(probe, order):
+    # each route runs after the other, at the port and at its reverse, on one
+    # circuit that keeps its probes; each answer is the one a circuit never
+    # probed before gives, bit for bit, or raises the same class
+    lc, port = probe
+    calls = [(route, p) for route in ROUTES for p in (port, port[::-1])]
+    for route, p in map(calls.__getitem__, order):
+        fresh = route_outcome(route, Circuit(lc.elements), p)
+        assert repr(route_outcome(route, lc, p)) == repr(fresh), (route.__name__, p)
+
+
+@given(st.floats(allow_nan=False))
+@example(5e-324)
+@example(-2.2250738573e-308)
+@example(1.7976931348623157e308)
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+def test_conductance_is_the_reciprocal_of_the_exact_decimal(ohms):
+    with localcontext(mna.DECIMAL):
+        try:
+            expected = 1 / Decimal(ohms)
+        except decimal.DivisionByZero:
+            with pytest.raises(decimal.DivisionByZero):
+                mna.conductance(ohms)
+            return
+        got = mna.conductance(ohms)
+    assert got == expected and got.as_tuple() == expected.as_tuple()

@@ -3,7 +3,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from feedback_lens.netlist import (
     GRAMMAR,
@@ -23,6 +23,7 @@ from feedback_lens.netlist import (
     VSource,
     parse_netlist,
     parse_value,
+    reachable,
     serialize,
     validate,
 )
@@ -372,3 +373,27 @@ def test_mutated_text_raises_only_netlist_errors(text):
         return
     validate(circuit)
     serialize(circuit)
+
+
+def set_search(start, edges):
+    """The nodes joined to ``start`` by ``edges``: grow a set by every edge
+    that touches it until none adds a node."""
+    reached = {start}
+    while True:
+        grown = reached.union(*({a, b} for a, b in edges if a in reached or b in reached))
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+NODE_NAMES = st.sampled_from(["0", "a", "b", "c", "d", "e"])
+
+
+@given(edges=st.lists(st.tuples(NODE_NAMES, NODE_NAMES), max_size=12),
+       start=NODE_NAMES | st.just("lone"))
+@example(edges=[("a", "b"), ("a", "b"), ("b", "b"), ("c", "c")], start="a")
+@example(edges=[("a", "a")], start="a")
+@example(edges=[("a", "b")], start="lone")
+def test_reachable_matches_a_set_search(edges, start):
+    # repeats, self-loops and a start in no edge; the edges are read once
+    assert reachable(start, iter(edges)) == set_search(start, edges)
