@@ -75,9 +75,9 @@ class AmplifierParams:
     R1 the current-sense resistor, g_m / r_pi / r_o the transistor
     small-signal model (beta = g_m * r_pi), R_in the op-amp differential
     input resistance (infinite when absent).  R2, the load on the output
-    node, sets R_out = R_X || R2 only, so no R_X engine reads it.  R_E and
-    R_S are accepted and echoed but read by no engine; they are kept only
-    because the benchmark workloads draw them.
+    node, R_E and R_S are accepted and echoed, but no engine and no printed
+    value reads them; they are kept only because the benchmark workloads
+    draw them.
     """
 
     K: float
@@ -163,7 +163,12 @@ def _require_annotations(circuit: Circuit):
 
 def _classify(circuit: Circuit) -> tuple[FeedbackTopology, tuple[str, str], tuple[str, str]]:
     """The topology, and the node pairs through which the feedback network
-    faces the amplifier's input side and its output side."""
+    faces the amplifier's input side and its output side.  The circuit
+    keeps the result, as it keeps its port views, so classifying it and
+    then measuring its loading classifies once; an
+    ``UnclassifiableTopology`` is raised again on every call."""
+    if "_classified" in vars(circuit):
+        return vars(circuit)["_classified"]
     _require_annotations(circuit)
     ann = circuit.annotations
     i_plus, i_minus = ann.input_port
@@ -228,9 +233,11 @@ def _classify(circuit: Circuit) -> tuple[FeedbackTopology, tuple[str, str], tupl
                 "feedback network does not reach the input comparison"
             )
 
-    return (FeedbackTopology(input_mix, output_sense, validity),
-            (mix_node, i_minus if mix_node != i_minus else GROUND),
-            (sense_node, o_minus if sense_node != o_minus else GROUND))
+    classified = (FeedbackTopology(input_mix, output_sense, validity),
+                  (mix_node, i_minus if mix_node != i_minus else GROUND),
+                  (sense_node, o_minus if sense_node != o_minus else GROUND))
+    vars(circuit)["_classified"] = classified
+    return classified
 
 
 def classify_topology(circuit: Circuit) -> FeedbackTopology:
@@ -312,14 +319,14 @@ def loading_effect(
 
 
 def loading_of_circuit(circuit: Circuit) -> LoadingModel:
-    """Classify, isolate the feedback network as parsed and read its loading
-    off the network as its two sides see it (``mna.seen_at``, the one
-    reduction); ``loading_effect`` refuses a macro in it by its own name."""
+    """Classify, and read the loading off ``circuit.feedback_network`` as
+    its two sides see it (``mna.seen_at``, the one reduction).  The network
+    keeps that view, which the impedance routes on ``circuit``'s
+    linearization reuse; ``loading_effect`` refuses a macro in it by its
+    own name."""
     topo, input_side, output_side = _classify(circuit)
-    names = circuit.annotations.feedback_elements
-    fb = Circuit(tuple(e for e in circuit.elements if e.name in names))
-    return loading_effect(mna.seen_at(fb, input_side + output_side), topo,
-                          input_side, output_side)
+    return loading_effect(mna.seen_at(circuit.feedback_network, input_side + output_side),
+                          topo, input_side, output_side)
 
 
 # --------------------------------------------------------------------------

@@ -267,10 +267,26 @@ def seen_at(lc: Circuit, nodes) -> Circuit:
     a kept one reads open, and a floating island leaves a nodal solve
     ``SingularMatrix`` as in ``lc``.  With nothing to reduce it is ``lc``
     itself; else ``lc`` keeps it by the set of ``nodes``, so a second route
-    at a port, either way round, reuses it."""
+    at a port, either way round, reuses it.
+
+    A circuit that carries a ``feedback_network`` made of its own elements,
+    as ``smallsignal.linearize`` hands one over, is reduced in two steps,
+    because a Kron reduction is a Schur complement and those compose: the
+    network onto its boundary (ground and its nodes that ``nodes`` or any
+    other element of ``lc`` touch), which is the view loading keeps when
+    that boundary is its two sides; then that view with the other
+    elements onto ``nodes``.  A network with no interior takes the one
+    step."""
     views = vars(lc).setdefault("_seen_at", {})
     if (key := frozenset(nodes)) in views:
         return views[key]
+    if (network := vars(lc).get("feedback_network")) and network.elements:
+        inside = set(map(id, network.elements))
+        rest = tuple(e for e in lc.elements if id(e) not in inside)
+        touched = {GROUND, *key}.union(*(e.terminals for e in rest))
+        if (view := seen_at(network, network.nodes & touched)) is not network:
+            views[key] = seen_at(Circuit(rest + view.elements), key)
+            return views[key]
     others, keep, edges = [], {GROUND, *key}, {GROUND: {}}
     for e in lc.elements:
         if type(e) is not Resistor:

@@ -230,8 +230,10 @@ class PortAnnotations:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A parsed netlist, or with no title or annotations the primitives
-    ``smallsignal.linearize`` makes of one, or its feedback elements."""
+    """A parsed netlist; or, with no title or annotations, the primitives
+    ``smallsignal.linearize`` makes of one, which carry the parsed
+    circuit's ``feedback_network`` when it is purely resistive, or that
+    network itself."""
 
     elements: tuple[Element, ...]
     title: str = ""
@@ -242,6 +244,15 @@ class Circuit:
         """Ground plus every terminal of the elements; none for no elements."""
         nodes = {t for e in self.elements for t in e.terminals}
         return frozenset(nodes | {GROUND} if nodes else nodes)
+
+    @cached_property
+    def feedback_network(self) -> Circuit:
+        """The ``.feedback`` elements as parsed, the same objects in the same
+        order: the one network ``feedback.loading_of_circuit`` reduces and
+        ``mna.seen_at`` composes a linearization's view from, so both read
+        the views kept on it."""
+        names = self.annotations.feedback_elements
+        return Circuit(tuple(e for e in self.elements if e.name in names))
 
     def names(self) -> frozenset[str]:
         return frozenset(e.name for e in self.elements)

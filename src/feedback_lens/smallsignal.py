@@ -9,7 +9,10 @@ rout, driving the out terminal through a synthesized internal node named
 across its inputs.
 
 ``linearize`` expands every element of a parsed circuit, each macro in
-place, into a ``Circuit`` of primitives with no title or annotations.
+place, into a ``Circuit`` of primitives with no title or annotations.  It
+hands the circuit's purely resistive feedback network over to it, so that
+``mna.seen_at`` reduces that network's interior once for loading and for
+both impedance routes.
 """
 
 from __future__ import annotations
@@ -55,5 +58,13 @@ def _expand(e: Element) -> list[Primitive]:
 
 
 def linearize(circuit: Circuit) -> Circuit:
-    """Replace every macro with its primitive model; primitives pass through."""
-    return Circuit(tuple(p for e in circuit.elements for p in _expand(e)))
+    """Replace every macro with its primitive model; primitives pass through
+    as the same objects.  A non-empty, purely resistive
+    ``circuit.feedback_network`` is therefore made of elements of the
+    result, which carries that same object in its ``__dict__``, where
+    ``==``, hash and ``repr`` do not look."""
+    lc = Circuit(tuple(p for e in circuit.elements for p in _expand(e)))
+    network = circuit.feedback_network
+    if network.elements and all(isinstance(e, Resistor) for e in network.elements):
+        vars(lc)["feedback_network"] = network
+    return lc

@@ -114,13 +114,6 @@ def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
     return float(volts[port[0]] - volts[port[1]])
 
 
-def feedback_network(circuit: Circuit) -> Circuit:
-    """The ``.feedback`` elements of ``circuit`` as parsed, which
-    ``feedback.loading_of_circuit`` measures."""
-    names = circuit.annotations.feedback_elements
-    return Circuit(tuple(e for e in circuit.elements if e.name in names))
-
-
 def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """``mna.driving_point_impedance`` of ``lc`` itself, not of
     ``mna.seen_at(lc, port)``: every unknown of its probed system solved."""

@@ -214,8 +214,8 @@ def test_exact_engines_agree_with_finite_input_resistance(case, p, r_in):
         assert cc.relative_error(value, values[0]) <= 1e-6, (case, p)
 
 
-# Fields each case circuit reads, and fields it must not: R2 sets R_out =
-# R_X || R2 only, and R_E and R_S are read by no engine.
+# Fields each case circuit reads, and fields it must not: no engine reads
+# R2, R_E or R_S.
 MOVES_RX = ("K", "r_out", "R1", "g_m", "r_pi", "r_o", "R_in")
 LEAVES_RX = ("R2", "R_E", "R_S")
 

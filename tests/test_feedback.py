@@ -24,7 +24,7 @@ from feedback_lens.netlist import (
     serialize,
 )
 from feedback_lens.smallsignal import linearize
-from support import (draw_params, feedback_amplifiers, feedback_network, fig3_amplifier, outcome,
+from support import (FIG3, draw_params, feedback_amplifiers, fig3_amplifier, outcome,
                      resistor_meshes, three_probe_loading)
 
 TYPICAL = AmplifierParams.typical()
@@ -129,6 +129,21 @@ RX m1 m2 1k
 def test_classify_requires_annotations():
     with pytest.raises(fb.UnclassifiableTopology):
         fb.classify_topology(parse_netlist("R1 a 0 1k"))
+
+
+def test_a_circuit_is_classified_once_and_a_failure_is_never_kept(monkeypatch, netlists_dir):
+    checked = []
+    require = fb._require_annotations
+    monkeypatch.setattr(fb, "_require_annotations", lambda c: checked.append(c) or require(c))
+    circuit = parse_netlist_file(str(netlists_dir / "fig3d.net"))
+    fb.classify_topology(circuit)
+    fb.loading_of_circuit(circuit)
+    assert checked == [circuit]
+    bare = parse_netlist("Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRF c b 47k\n.input b 0\n.output c 0")
+    for _ in range(2):
+        with pytest.raises(fb.UnclassifiableTopology, match="no feedback elements"):
+            fb.classify_topology(bare)
+    assert checked == [circuit, bare, bare]
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +318,7 @@ def test_input_side_outside_the_feedback_network_raises_unknown_node(netlists_di
     circuit = parse_netlist(text)
     input_side, output_side = fb._classify(circuit)[1:]
     assert input_side == ("e", "r")
-    network = feedback_network(circuit)
+    network = circuit.feedback_network
     with pytest.raises(mna.UnknownNode, match="'r'"):
         fb.loading_effect(network, fb.classify_topology(circuit), input_side, output_side)
 
@@ -342,7 +357,7 @@ def test_loading_of_circuit_equals_loading_of_the_whole_network(circuit):
     # of the whole network define; a floating island changes neither
     topo = fb.classify_topology(circuit)
     input_side, output_side = fb._classify(circuit)[1:]
-    whole = feedback_network(circuit)
+    whole = circuit.feedback_network
     assert_same_loading(outcome(fb.loading_of_circuit, circuit),
                         outcome(three_probe_loading, whole, topo, input_side, output_side),
                         topo)
@@ -394,7 +409,7 @@ def test_loading_with_both_ports_returned_to_a_node_outside_the_network():
                             "RC c r 4.7k\nRR r 0 1k\n.input b r\n.output c r\n.feedback RF RG")
     input_side, output_side = fb._classify(circuit)[1:]
     assert (input_side, output_side) == (("b", "r"), ("c", "r"))
-    whole = feedback_network(circuit)
+    whole = circuit.feedback_network
     assert fb.loading_of_circuit(circuit) == fb.loading_effect(
         whole, fb.classify_topology(circuit), input_side, output_side)
 
@@ -492,6 +507,23 @@ def test_both_impedance_routes_reduce_the_port_once(monkeypatch, routes, side):
     assert view is not lc and len(view.nodes) < 10
     for calls in (probed, searched):
         assert len(calls) == 2 and all(p is view for p in calls)
+
+
+@settings(deadline=None)
+@given(circuit=feedback_amplifiers())
+def test_loading_and_both_routes_reduce_the_feedback_interior_once(circuit):
+    # the port view is composed from the view loading keeps on the network:
+    # that one view, made of the very resistors the port view holds
+    outcome(fb.loading_of_circuit, circuit)
+    lc, port = linearize(circuit), circuit.annotations.output_port
+    for route in ROUTES:
+        outcome(route, lc, port)
+    network = circuit.feedback_network
+    views = vars(network)["_seen_at"]
+    # a network with no inner node has nothing to reduce, and keeps no view
+    assert len(views) == bool(network.nodes - set(FIG3[circuit.title][1]) - {GROUND})
+    elements = set(map(id, mna.seen_at(lc, port).elements))
+    assert all(id(r) in elements for view in views.values() for r in view.elements)
 
 
 def test_impedance_on_every_engine_reduces_the_port_once(monkeypatch, tmp_path, capsys):

@@ -15,7 +15,7 @@ from feedback_lens.netlist import (
 from feedback_lens.smallsignal import linearize
 
 from support import (active_meshes, conductance_impedance_oracle, decades, feedback_amplifiers,
-                     feedback_network, outcome, random_resistor_mesh, reference_reduce_onto, resistive_networks,
+                     outcome, random_resistor_mesh, reference_reduce_onto, resistive_networks,
                      resistor_meshes, unreduced_impedance)
 
 # Nodal solutions of the two measurement models, computed from their node
@@ -203,7 +203,7 @@ def test_port_behind_a_floating_resistor_chain_is_open(route, r1, r2):
 def test_open_output_side_of_a_split_feedback_network(route):
     circuit = parse_netlist(SPLIT_FEEDBACK)
     _, output_side = _classify(circuit)[1:]
-    network = feedback_network(circuit)
+    network = circuit.feedback_network
     assert route(network, output_side) == math.inf
     assert loading_of_circuit(circuit).R_of == math.inf
 
@@ -214,7 +214,7 @@ def test_stamps_cancel_exactly_on_open_feedback_ports(netlists_dir):
     for text in ((netlists_dir / "irrelevant.net").read_text(), SPLIT_FEEDBACK):
         circuit = parse_netlist(text)
         _, output_side = _classify(circuit)[1:]
-        network = feedback_network(circuit)
+        network = circuit.feedback_network
         solution = mna.solve(mna.probed_system(network, output_side))
         assert solution[mna.TEST_CURRENT] == 0.0
 
@@ -652,9 +652,22 @@ def route_outcome(route, lc, port):
         return type(exc)
 
 
-shared_probes = st.one_of(
-    active_meshes().map(lambda case: case[1:]),
-    amplifier_ports.map(lambda probe: (linearize(probe[0]), probe[1])))
+@st.composite
+def measured_amplifiers(draw):
+    """The linearization of a ``feedback_amplifiers(islands=True)`` draw at
+    a port of any two of its nodes, inner and island ones among them, after
+    ``loading_of_circuit`` has kept its feedback network's view in a drawn
+    half."""
+    circuit = draw(feedback_amplifiers(islands=True))
+    if draw(st.booleans()):
+        outcome(loading_of_circuit, circuit)
+    lc = linearize(circuit)
+    return lc, tuple(draw(st.permutations(sorted(lc.nodes)))[:2])
+
+
+# A fresh Circuit(lc.elements) carries no feedback network, so it is reduced
+# whole, where the amplifier's linearization is composed from its network's.
+shared_probes = st.one_of(active_meshes().map(lambda case: case[1:]), measured_amplifiers())
 
 
 @settings(deadline=None)
