@@ -368,6 +368,11 @@ def test_crosscheck_bad_parameter(capsys):
     assert code == 1 and "unknown parameter" in err
 
 
+def test_crosscheck_set_without_a_value(capsys):
+    code, out, err = run(capsys, "crosscheck", "--case", "1", "--set", "k")
+    assert (code, out, err) == (1, "", "error: --set expects name=value, got 'k'\n")
+
+
 def test_format_env_variable(capsys, netlists_dir, monkeypatch):
     monkeypatch.setenv("FEEDBACK_LENS_FORMAT", "json")
     code, out, _ = run(capsys, "classify", str(netlists_dir / "fig4.net"))

@@ -131,6 +131,21 @@ def test_classify_requires_annotations():
         fb.classify_topology(parse_netlist("R1 a 0 1k"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("R1 a 0 1k\n.input a 0\n.output a 0\n.feedback RX", r"unknown feedback elements \['RX'\]"),
+    # the input node is on no device's comparison terminal
+    ("Q1 b c 0 gm=0.04 rpi=2.5k ro=100k\nRC c 0 4.7k\nRF c x 10k\nRX x 0 1k\nRB in 0 1k\n"
+     ".input in 0\n.output c 0\n.feedback RF RX",
+     "no difference-forming device found at the input port"),
+    ("Q1 b c e gm=0.04 rpi=2.5k ro=100k\nRC c 0 4.7k\nRE e 0 1k\nRF c x 10k\nRX x 0 1k\n"
+     ".input b 0\n.output c 0\n.feedback RF RX",
+     "feedback network does not reach the input comparison"),
+])
+def test_an_unclassifiable_topology_says_why(text, message):
+    with pytest.raises(fb.UnclassifiableTopology, match=f"^{message}$"):
+        fb.classify_topology(parse_netlist(text))
+
+
 def test_a_circuit_is_classified_once_and_a_failure_is_never_kept(monkeypatch, netlists_dir):
     checked = []
     require = fb._require_annotations
@@ -328,6 +343,33 @@ def test_output_side_outside_the_feedback_network_raises_unknown_node():
     topo = fb.FeedbackTopology(Mixing.SERIES, Mixing.SERIES, Validity.VALID)
     with pytest.raises(mna.UnknownNode, match="'absent'"):
         fb.loading_effect(network, topo, ("a", GROUND), ("absent", GROUND))
+
+
+def test_a_side_of_one_node_raises_value_error():
+    net = Circuit((Resistor("R1", "a", GROUND, 1e3),))
+    with pytest.raises(ValueError, match="^port nodes must differ, got 'a' twice$"):
+        fb.loading_effect(net, SERIES_SERIES, ("a", "a"), ("a", GROUND))
+
+
+def test_one_port_with_a_shunt_side_is_singular():
+    net = Circuit((Resistor("R1", "a", GROUND, 1e3),))
+    with pytest.raises(mna.SingularMatrix, match="^the two sides are one port"):
+        fb.loading_effect(net, SHUNT_SHUNT, ("a", GROUND), ("a", GROUND))
+
+
+def test_a_coordinate_with_only_zero_entries_moves_nothing():
+    # R1 lies along the input side, so b's coordinate gets only zero entries
+    net = Circuit((Resistor("R1", "a", "b", 1e3), Resistor("R2", "c", GROUND, 2e3)))
+    assert fb.loading_effect(net, SERIES_SERIES, ("a", "b"), ("c", GROUND)) == fb.LoadingModel(
+        1000.0, 2000.0, 0.0)
+
+
+def test_a_zero_pivot_with_a_non_zero_row_is_singular():
+    # R1 and R2 cancel at b, which R1 still ties to the input side
+    net = Circuit((Resistor("R1", "a", "b", -1e3), Resistor("R2", "b", GROUND, 1e3),
+                   Resistor("R3", "c", GROUND, 1e3)))
+    with pytest.raises(mna.SingularMatrix, match=r"^zero pivot with a non-zero row at V\(b\)$"):
+        fb.loading_effect(net, SERIES_SERIES, ("a", GROUND), ("c", GROUND))
 
 
 def assert_same_loading(got, expected, topo):

@@ -103,6 +103,17 @@ def test_repeated_directive_rejected(directive, first, second):
     assert info.value.line == 5
 
 
+@pytest.mark.parametrize("directive, message", [
+    (".input a", ".input needs two nodes"),
+    (".output a 0 b", ".output needs two nodes"),
+    (".feedback", ".feedback needs element names"),
+])
+def test_a_directive_with_the_wrong_words_is_rejected_at_its_line(directive, message):
+    with pytest.raises(NetlistSyntaxError, match=f"^\\{message}$") as info:
+        parse_netlist(f"RA a 0 1k\n* a comment\n{directive}\n")
+    assert info.value.line == 3
+
+
 def test_unknown_element_kind():
     with pytest.raises(UnknownElementKind):
         parse_netlist("Z1 a 0 5")
