@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
 from decimal import localcontext
+from itertools import combinations
 
 from . import mna, sfg
 from .feedback import (
@@ -313,16 +314,9 @@ def run_case(
     if problem:
         raise ValueError(f"case {case} at these parameters: {problem}; a product or "
                          "quotient of them leaves the floating-point range")
-    errors = {}
-    for i, first in enumerate(ENGINES):
-        for second in ENGINES[i + 1:]:
-            errors[f"{first} vs {second}"] = relative_error(values[first], values[second])
-
-    ok = all(
-        errors[f"{a} vs {b}"] <= ENGINE_RTOL
-        for i, a in enumerate(EXACT_ENGINES)
-        for b in EXACT_ENGINES[i + 1:]
-    )
+    errors = {f"{a} vs {b}": relative_error(values[a], values[b])
+              for a, b in combinations(ENGINES, 2)}
+    ok = all(errors[f"{a} vs {b}"] <= ENGINE_RTOL for a, b in combinations(EXACT_ENGINES, 2))
     if config.closed_error_band is not None:
         center, halfwidth = config.closed_error_band
         ok = ok and abs(closed_error - center) <= halfwidth

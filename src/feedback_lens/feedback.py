@@ -261,8 +261,8 @@ def loading_effect(
     off the two-port parameters of its topology: z, y, h or g.
 
     Node voltages are written in side coordinates (k across side k, 0 input
-    and 1 output), and each finite resistor stamps its conductance into that
-    energy form in exact ``Fraction``s.  One sweep eliminates every other
+    and 1 output), and each resistor that ``mna.moves_current`` stamps its
+    conductance into that energy form in exact ``Fraction``s.  One sweep eliminates every other
     coordinate and inverts each series side's, opening it while the other
     side is measured; a shunt side is shorted.  A zero pivot with a zero
     row moves nothing; any other, or an undefined f (across an open input
@@ -275,11 +275,7 @@ def loading_effect(
     shunt = (topo.input_mix is Mixing.SHUNT, topo.output_sense is Mixing.SHUNT)
     sides = (input_port, output_port)
     for k, side in enumerate(sides):
-        if side[0] == side[1]:
-            raise ValueError(f"port nodes must differ, got {side[0]!r} twice")
-        for node in side:
-            if node not in fb.nodes and not (shunt[1 - k] and node in sides[1 - k]):
-                raise mna.UnknownNode(f"unknown node {node!r}")
+        mna.require_port(side, fb.nodes.union(sides[1 - k]) if shunt[1 - k] else fb.nodes)
     if (one_port := set(input_port) == set(output_port)) and any(shunt):
         raise mna.SingularMatrix("the two sides are one port, which a shunt side shorts")
     # V(p) = V(n) + u_k; a grounded side goes first, so a node the sides share is fixed
@@ -289,7 +285,7 @@ def loading_effect(
         volts[p] = {**volts.setdefault(n, {n: 1}), k: sign}
     form = Counter()  # by pairs of coordinates
     for e in fb.elements:
-        if not math.isinf(e.ohms):
+        if mna.moves_current(e):
             g = 1 / Fraction(e.ohms)
             a, b = (volts.get(v, {v: 1}) for v in (e.n1, e.n2))
             d = {c: a.get(c, 0) - b.get(c, 0) for c in {*a, *b}}

@@ -189,30 +189,40 @@ def probed_system(lc: Circuit, port: tuple[str, str]) -> MnaSystem:
     across ``port``; the current that the port draws from it is minus
     the unknown ``TEST_CURRENT``, the system's last, because the test source
     is the last element and branch currents follow the node voltages.  A
-    port whose two nodes are the same raises ``ValueError``, and a port node
-    ``lc`` lacks raises ``UnknownNode``."""
-    if port[0] == port[1]:
-        raise ValueError(f"port nodes must differ, got {port[0]!r} twice")
-    for node in port:
-        if node not in lc.nodes:
-            raise UnknownNode(f"unknown node {node!r}")
+    bad port raises as in ``require_port``."""
+    require_port(port, lc.nodes)
     elements = [replace(e, volts=0.0) if isinstance(e, VSource) else e
                 for e in lc.elements if not isinstance(e, ISource)]
     elements.append(VSource(TEST_SOURCE, port[0], port[1], 1.0))
     return assemble(Circuit(tuple(elements)))
 
 
+def require_port(port: tuple[str, str], nodes) -> None:
+    """Raise ``ValueError`` for a port whose two nodes are the same, else
+    ``UnknownNode`` for its first node not in ``nodes``."""
+    if port[0] == port[1]:
+        raise ValueError(f"port nodes must differ, got {port[0]!r} twice")
+    for node in port:
+        if node not in nodes:
+            raise UnknownNode(f"unknown node {node!r}")
+
+
+def moves_current(e) -> bool:
+    """Whether ``e`` can carry current once independent sources are zeroed:
+    a finite resistor between two different nodes, a voltage source,
+    independent or controlled, or a VCCS whose two control nodes differ.
+    An infinite resistance, or a VCCS controlled by a node against itself,
+    moves no current, and ``assemble`` stamps neither."""
+    kind = type(e)
+    return (kind is Resistor and e.n1 != e.n2 and e.ohms not in (math.inf, -math.inf)
+            or kind is VSource or kind is Vcvs or kind is Vccs and e.cp != e.cn)
+
+
 def port_is_open(lc: Circuit, port: tuple[str, str]) -> bool:
     """True when no current path joins the two port nodes once independent
     sources are zeroed: they lie in different connected components of the
-    graph whose edges are finite resistors, the outputs of VCCSs whose two
-    control nodes differ, and voltage sources, independent or controlled.
-    An infinite resistance, or a VCCS controlled by a node against itself,
-    moves no current, and ``assemble`` stamps neither."""
-    paths = ((e.n1, e.n2) for e in lc.elements
-             if isinstance(e, (VSource, Vcvs))
-             or isinstance(e, Resistor) and e.ohms not in (math.inf, -math.inf)
-             or isinstance(e, Vccs) and e.cp != e.cn)
+    graph whose edges are the elements that ``moves_current``."""
+    paths = ((e.n1, e.n2) for e in lc.elements if moves_current(e))
     return port[1] not in reachable(port[0], paths)
 
 
@@ -221,7 +231,7 @@ def probe(lc: Circuit, port: tuple[str, str]) -> tuple[MnaSystem, bool]:
     seen_at(lc, port)``, the one probe both impedance routes read.  The view
     keeps the pair by the ordered port, so the second route at a port
     stamps nothing and searches nothing.  A bad port raises as in
-    ``probed_system``."""
+    ``require_port``."""
     view = seen_at(lc, port)
     probes = vars(view).setdefault("_probes", {})
     if (key := tuple(port)) not in probes:
@@ -247,7 +257,7 @@ def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     system of ``probe(lc, port)``, which the flow-graph route at the same
     port shares.  Only that last unknown is read, but through ``solve``, so
     that the benchmark's trace of ``solve`` sees every nodal solve.  A bad
-    port raises as in ``probed_system``."""
+    port raises as in ``require_port``."""
     system, is_open = probe(lc, port)
     return impedance_from_current(-solve(system)[TEST_CURRENT], is_open)
 
@@ -294,8 +304,7 @@ def seen_at(lc: Circuit, nodes) -> Circuit:
             keep.update(e.terminals)
             continue
         one, other = edges.setdefault(e.n1, {}), edges.setdefault(e.n2, {})
-        # an infinite resistance joins nothing, as assemble drops its zero
-        if e.n1 != e.n2 and e.ohms not in (math.inf, -math.inf):
+        if moves_current(e):
             one.setdefault(e.n2, []).append(e.ohms)
             other[e.n1] = one[e.n2]
     if keep.issuperset(edges):

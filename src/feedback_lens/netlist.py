@@ -308,7 +308,7 @@ def parse_netlist(text: str) -> Circuit:
     title = ""
     elements: list[Element] = []
     seen: dict[str, int] = {}  # line of each element name and directive
-    input_port = output_port = None
+    ports: dict[str, tuple[str, str]] = {}
     feedback: frozenset[str] = frozenset()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -325,14 +325,10 @@ def parse_netlist(text: str) -> Circuit:
             seen[directive] = lineno
             if directive == ".title":
                 title = stripped.split(None, 1)[1] if len(tokens) > 1 else ""
-            elif directive == ".input":
+            elif directive in (".input", ".output"):
                 if len(tokens) != 3:
-                    raise NetlistSyntaxError(".input needs two nodes", lineno)
-                input_port = (tokens[1], tokens[2])
-            elif directive == ".output":
-                if len(tokens) != 3:
-                    raise NetlistSyntaxError(".output needs two nodes", lineno)
-                output_port = (tokens[1], tokens[2])
+                    raise NetlistSyntaxError(f"{directive} needs two nodes", lineno)
+                ports[directive] = (tokens[1], tokens[2])
             elif directive == ".feedback":
                 if len(tokens) < 2:
                     raise NetlistSyntaxError(".feedback needs element names", lineno)
@@ -351,7 +347,7 @@ def parse_netlist(text: str) -> Circuit:
         seen[element.name] = lineno
         elements.append(element)
 
-    annotations = PortAnnotations(input_port, output_port, feedback)
+    annotations = PortAnnotations(ports.get(".input"), ports.get(".output"), feedback)
     return Circuit(tuple(elements), title, annotations)
 
 
@@ -373,10 +369,9 @@ def serialize(circuit: Circuit) -> str:
                 words.append(prefix + format_value(value))
         lines.append(" ".join(words))
     ann = circuit.annotations
-    if ann.input_port:
-        lines.append(f".input {ann.input_port[0]} {ann.input_port[1]}")
-    if ann.output_port:
-        lines.append(f".output {ann.output_port[0]} {ann.output_port[1]}")
+    for directive, port in ((".input", ann.input_port), (".output", ann.output_port)):
+        if port:
+            lines.append(f"{directive} {port[0]} {port[1]}")
     if ann.feedback_elements:
         lines.append(".feedback " + " ".join(sorted(ann.feedback_elements)))
     return "\n".join(lines) + "\n"

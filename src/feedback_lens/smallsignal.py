@@ -62,9 +62,11 @@ def linearize(circuit: Circuit) -> Circuit:
     as the same objects.  A non-empty, purely resistive
     ``circuit.feedback_network`` is therefore made of elements of the
     result, which carries that same object in its ``__dict__``, where
-    ``==``, hash and ``repr`` do not look."""
+    ``==``, hash and ``repr`` do not look.  A circuit with no ``.feedback``
+    never builds one."""
     lc = Circuit(tuple(p for e in circuit.elements for p in _expand(e)))
-    network = circuit.feedback_network
-    if network.elements and all(isinstance(e, Resistor) for e in network.elements):
-        vars(lc)["feedback_network"] = network
+    if circuit.annotations.feedback_elements:
+        network = circuit.feedback_network
+        if network.elements and all(isinstance(e, Resistor) for e in network.elements):
+            vars(lc)["feedback_network"] = network
     return lc

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from feedback_lens import mna, sfg
+from feedback_lens import crosscheck, mna, sfg
 from feedback_lens.feedback import AmplifierParams, LoadingModel, Mixing
 from feedback_lens.netlist import (GROUND, BjtPi, Circuit, ISource, OpAmp, PortAnnotations,
                                    Resistor, Vccs, Vcvs, VSource, reachable)
@@ -317,6 +317,11 @@ def active_meshes(draw, max_nodes: int = 8):
     circuit = Circuit(tuple(elements), "mesh")
     port = tuple(draw(st.permutations(names))[:2])
     return circuit, linearize(circuit), port
+
+
+# The circuit builder and the output port of each crosscheck case.
+CASES = {1: (crosscheck.build_case1_circuit, crosscheck.CASE1_PORT),
+         2: (crosscheck.build_case2_circuit, crosscheck.CASE2_PORT)}
 
 
 # The fig3 amplifiers of netlists/fig3a-d.net: their forward elements, from

@@ -13,7 +13,7 @@ from feedback_lens.feedback import AmplifierParams, exact_rx_case1, exact_rx_cas
 from feedback_lens.netlist import GROUND, Circuit, ISource, Vcvs, VSource, parse_netlist_file
 from feedback_lens.smallsignal import linearize
 
-from support import (amplifier_params, decades, draw_params, feedback_amplifiers,
+from support import (CASES, amplifier_params, decades, draw_params, feedback_amplifiers,
                      random_resistor_mesh)
 
 TYPICAL = AmplifierParams.typical()
@@ -77,8 +77,7 @@ CORNERS = [
 def test_rx_at_the_parameter_corners_is_finite(case):
     # The double-precision flow graph of the nodal system loses up to
     # 2.1e-4 at the case-2 corners.
-    circuit, port = {1: (cc.build_case1_circuit, cc.CASE1_PORT),
-                     2: (cc.build_case2_circuit, cc.CASE2_PORT)}[case]
+    circuit, port = CASES[case]
     for p in CORNERS:
         exact = _exact_rx(case, p)
         assert cc.mna_rx(case, p) == pytest.approx(exact, rel=1e-12), p
@@ -279,8 +278,8 @@ def blackman_impedance(lc: Circuit, port, reference: str) -> float:
 def test_case_circuits_satisfy_blackmans_relation_in_the_op_amp_gain(case, p, r_in):
     # a stamping error of the op-amp's Vcvs moves the direct probe alone
     p = replace(p, R_in=r_in)
-    lc = (cc.build_case1_circuit, cc.build_case2_circuit)[case - 1](p)
-    port = (cc.CASE1_PORT, cc.CASE2_PORT)[case - 1]
+    build, port = CASES[case]
+    lc = build(p)
     assert blackman_impedance(lc, port, "eop") == pytest.approx(cc.mna_rx(case, p), rel=1e-9)
 
 

@@ -14,9 +14,9 @@ from feedback_lens.netlist import (
 )
 from feedback_lens.smallsignal import linearize
 
-from support import (active_meshes, conductance_impedance_oracle, decades, feedback_amplifiers,
-                     outcome, random_resistor_mesh, reference_reduce_onto, resistive_networks,
-                     resistor_meshes, unreduced_impedance)
+from support import (CASES, active_meshes, conductance_impedance_oracle, decades,
+                     feedback_amplifiers, outcome, random_resistor_mesh, reference_reduce_onto,
+                     resistive_networks, resistor_meshes, unreduced_impedance)
 
 # Nodal solutions of the two measurement models, computed from their node
 # equations with an independent numpy solve before the solver was written.
@@ -571,9 +571,9 @@ def test_reduce_converts_no_resistor_of_a_dropped_branch():
 @pytest.mark.parametrize("case", [1, 2])
 @pytest.mark.parametrize("r_in", [math.inf, 1e6])
 def test_a_circuit_with_nothing_to_reduce_is_seen_as_itself(case, r_in):
-    build = (cc.build_case1_circuit, cc.build_case2_circuit)[case - 1]
+    build, port = CASES[case]
     lc = build(AmplifierParams.typical(R_in=r_in))
-    assert mna.seen_at(lc, (cc.CASE1_PORT, cc.CASE2_PORT)[case - 1]) is lc
+    assert mna.seen_at(lc, port) is lc
 
 
 def test_seen_at_keeps_the_control_nodes_of_a_vcvs():
@@ -621,7 +621,7 @@ amplifier_ports = feedback_amplifiers(islands=True).flatmap(lambda circuit: st.t
                                        circuit.annotations.output_port])))
 
 
-# The flow graph's arithmetic is double precision (ROADMAP item 2), so its
+# The flow graph's arithmetic is double precision (ROADMAP item 4), so its
 # values are held to the engine gate, not to the nodal route's 1e-12.
 @pytest.mark.parametrize("route, rel", [(mna.driving_point_impedance, 1e-12),
                                         (cc.mason_driving_point_impedance, cc.ENGINE_RTOL)])

@@ -12,9 +12,7 @@ from feedback_lens.feedback import AmplifierParams
 from feedback_lens.netlist import GROUND, Circuit, Resistor, Vccs, Vcvs, parse_netlist_file
 from feedback_lens.smallsignal import linearize
 
-from support import amplifier_params as params, decades
-
-BUILDERS = {1: (cc.build_case1_circuit, cc.CASE1_PORT), 2: (cc.build_case2_circuit, cc.CASE2_PORT)}
+from support import CASES, amplifier_params as params, decades
 
 
 @st.composite
@@ -36,7 +34,7 @@ def disguised(draw, lc, port):
 
 
 def case_circuit(data, case, p):
-    build, port = BUILDERS[case]
+    build, port = CASES[case]
     return data.draw(disguised(build(p), port))
 
 
@@ -108,7 +106,7 @@ def test_case2_rail_gain_other_than_one_is_not_recognized(p, gain):
 @pytest.mark.parametrize("case", [1, 2])
 def test_zero_gain_is_recognized_and_exact_engines_agree(case):
     p = AmplifierParams.typical(K=0.0)
-    build, port = BUILDERS[case]
+    build, port = CASES[case]
     assert cc.recognize_case(build(p), port) == (case, p)
     assert cc.exact_rx(case, p) == pytest.approx(cc.mna_rx(case, p), rel=1e-9)
 

@@ -43,6 +43,15 @@ def test_macro_free_circuit_passes_through():
     assert lc.elements == circuit.elements
 
 
+def test_only_an_annotated_circuit_hands_its_feedback_network_over():
+    bare = parse_netlist("Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRF c b 47k\nRL c 0 1k")
+    linearize(bare)
+    assert "feedback_network" not in vars(bare)  # its network is never built
+    annotated = parse_netlist("Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRF c b 47k\nRL c 0 1k\n"
+                              ".input b 0\n.output c 0\n.feedback RF")
+    assert vars(linearize(annotated))["feedback_network"] is annotated.feedback_network
+
+
 def test_invalid_macro_params():
     with pytest.raises(InvalidMacroParams):
         linearize(parse_netlist("Q1 b c e gm=-1m rpi=2.5k ro=100k"))
