@@ -245,7 +245,7 @@ def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     probed nodal system of ``mna.probe(lc, port)``: a second route to the
     nodal solve from the system, and the openness, that the nodal route at
     the same port reads too, so neither route stamps or searches twice.  A
-    bad port raises as in ``mna.probed_system``."""
+    bad port raises as in ``mna.require_port``."""
     system, is_open = mna.probe(lc, port)
     gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE, mna.TEST_CURRENT)
     return mna.impedance_from_current(-gain, is_open)

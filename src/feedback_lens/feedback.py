@@ -262,13 +262,13 @@ def loading_effect(
 
     Node voltages are written in side coordinates (k across side k, 0 input
     and 1 output), and each resistor that ``mna.moves_current`` stamps its
-    conductance into that energy form in exact ``Fraction``s.  One sweep eliminates every other
-    coordinate and inverts each series side's, opening it while the other
-    side is measured; a shunt side is shorted.  A zero pivot with a zero
-    row moves nothing; any other, or an undefined f (across an open input
-    side, into an open output side, or at one port with a shunt side),
-    raises ``SingularMatrix``.  A side node neither in the network nor on
-    a shunt other side raises ``mna.UnknownNode``."""
+    conductance into that energy form in exact ``Fraction``s.  One sweep
+    eliminates every other coordinate and inverts each series side's,
+    opening it while the other side is measured; a shunt side is shorted.
+    A zero pivot with a zero row moves nothing; any other, or an undefined
+    f (across an open input side, into an open output side, or at one port
+    with a shunt side), raises ``SingularMatrix``.  Each side passes
+    ``mna.require_port`` on the network's nodes and a shunt other side's."""
     for e in fb.elements:
         if not isinstance(e, Resistor):
             raise ValueError(f"feedback network must be purely resistive: {e.name} is not")
