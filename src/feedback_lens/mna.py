@@ -239,27 +239,27 @@ def probe(lc: Circuit, port: tuple[str, str]) -> tuple[MnaSystem, bool]:
     return probes[key]
 
 
-def impedance_from_current(delivered: float, is_open: bool) -> float:
+def impedance_from_current(delivered: float) -> float:
     """Impedance of a port from the current a unit test voltage delivers
-    into it.  A port that is open (``port_is_open``), or that draws exactly
-    no current, reads ``math.inf``.  Openness is decided from the circuit's
-    structure because an open port's solved current is rounding residue,
-    which no threshold tells apart from the current of a real port of high
-    impedance beside a large conductance."""
-    if delivered == 0.0 or is_open:
-        return math.inf
-    return 1.0 / delivered
+    into it; exactly no current reads ``math.inf``.  Both routes answer an
+    open port (``port_is_open``) before they solve: its system may be
+    singular, and its solved current is rounding residue, which no
+    threshold tells apart from a real port of high impedance beside a large
+    conductance."""
+    return math.inf if delivered == 0.0 else 1.0 / delivered
 
 
 def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """Impedance seen into ``port`` with all independent sources zeroed:
-    the current that ``solve`` finds the test source delivering in the
-    system of ``probe(lc, port)``, which the flow-graph route at the same
-    port shares.  Only that last unknown is read, but through ``solve``, so
-    that the benchmark's trace of ``solve`` sees every nodal solve.  A bad
-    port raises as in ``require_port``."""
+    ``math.inf`` if ``probe(lc, port)`` finds it open, else the current that
+    ``solve`` finds the test source delivering in the probe's system, which
+    the flow-graph route at the same port shares.  Only that last unknown is
+    read, but through ``solve``, so that the benchmark's trace of ``solve``
+    sees every nodal solve.  A bad port raises as in ``require_port``."""
     system, is_open = probe(lc, port)
-    return impedance_from_current(-solve(system)[TEST_CURRENT], is_open)
+    if is_open:
+        return math.inf
+    return impedance_from_current(-solve(system)[TEST_CURRENT])
 
 
 def seen_at(lc: Circuit, nodes) -> Circuit:

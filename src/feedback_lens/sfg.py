@@ -16,8 +16,11 @@ where P_k are forward-path gains, D the determinant and D_k the determinant
 of the graph with the k-th path's nodes deleted.  Loops and paths come from
 one depth-first walk, exponential in general, so each count is bounded by
 the fixed ``DEFAULT_CAP``; exceeding it raises LimitExceeded rather than
-truncating silently.  The case-1 and case-2 graphs of ``crosscheck.mason_rx``
-use it, and the tests use it as the oracle for the second route.
+truncating silently.  Loops, paths and non-touching loop sets depend only
+on which edges the graph has, so they are found once per graph shape and
+kept; a call multiplies only its own gains, in the order a fresh walk would.
+The case graphs of ``crosscheck.mason_rx`` (one shape each at every
+parameter point) use it, and the tests use it as the second route's oracle.
 
 Node elimination (``elimination_gain``) applies the reduction rules of
 Mason, "Feedback theory -- further properties of signal flow graphs"
@@ -33,6 +36,7 @@ independent of the nodal solver's elimination.
 
 from __future__ import annotations
 
+import functools
 import math
 
 # Every node, each with the gain of each of its out-edges.  A loop or a
@@ -120,43 +124,76 @@ def enumerate_forward_paths(graph: Graph, src: str,
     return _walks(graph, [(src, dst, "")] if src in graph else [], "forward paths")
 
 
-def _nontouching_expansion(loops: list) -> tuple[float, float]:
-    """1 - sum L_i + sum L_i*L_j - ... over mutually node-disjoint loop sets,
-    and the sum of the magnitudes of those terms."""
-    node_sets = [frozenset(nodes) for nodes, _ in loops]
+@functools.lru_cache
+def _plan(shape: tuple, src: str | None, dst: str | None, cap: int) -> tuple:
+    """Mason's formula for src -> dst on any graph of ``shape`` (its nodes,
+    and each node's successors, in order): ``(loops, paths, terms)``, each
+    loop and path as its edges' indices in walk order (edges numbered as
+    ``shape`` lists them), each path with its cofactor's terms.  A term is
+    a non-touching loop set, depth-first, as ``(parent, loop, sign)``: its
+    product is its parent's (term 0 is 1) times the loop's gain.  No paths
+    for src None; ``cap`` only keys the cache, as the walks read
+    ``DEFAULT_CAP``, and what they raise is not cached."""
+    graph = {u: dict.fromkeys(outs, 1.0) for u, outs in zip(*shape)}
+    index = {edge: i for i, edge in enumerate((u, v) for u in graph for v in graph[u])}
+    paths = [] if src is None else [nodes for nodes, _ in enumerate_forward_paths(graph, src, dst)]
+    loops = [nodes for nodes, _ in enumerate_loops(graph)]
+    node_sets = [frozenset(nodes) for nodes in loops]
+
+    def edges(walk: tuple[str, ...]) -> tuple[int, ...]:
+        return tuple(map(index.__getitem__, zip(walk, walk[1:])))
+
+    def expansion(among) -> tuple:
+        terms = []
+
+        def extend(start: int, parent: int, used: frozenset[str], sign: float):
+            for k in range(start, len(among)):
+                if not node_sets[j := among[k]] & used:
+                    terms.append((parent, j, sign))
+                    extend(k + 1, len(terms), used | node_sets[j], -sign)
+
+        extend(0, 0, frozenset(), -1.0)
+        return tuple(terms)
+
+    return (tuple(edges(nodes + nodes[:1]) for nodes in loops),
+            tuple((edges(nodes), expansion([j for j, s in enumerate(node_sets)
+                                            if s.isdisjoint(nodes)])) for nodes in paths),
+            expansion(range(len(loops))))
+
+
+def _expand(terms: tuple, gains: list[float]) -> tuple[float, float]:
+    """1 - sum L_i + sum L_i*L_j - ... over the terms of a plan, and the sum
+    of the magnitudes of those terms."""
+    products = [1.0]
     total = scale = 1.0
-
-    def extend(next_index: int, gain: float, used: frozenset[str], sign: float):
-        nonlocal total, scale
-        for j in range(next_index, len(loops)):
-            if node_sets[j] & used:
-                continue
-            combined = gain * loops[j][1]
-            total += sign * combined
-            scale += abs(combined)
-            extend(j + 1, combined, used | node_sets[j], -sign)
-
-    extend(0, 1.0, frozenset(), -1.0)
+    for parent, loop, sign in terms:
+        products.append(product := products[parent] * gains[loop])
+        total += sign * product
+        scale += abs(product)
     return total, scale
 
 
+def _evaluate(graph: Graph, src: str | None, dst: str | None) -> tuple[float, float, float]:
+    shape = tuple(graph), tuple(map(tuple, graph.values()))
+    loops, paths, terms = _plan(shape, src, dst, DEFAULT_CAP)
+    gain = [g for outs in graph.values() for g in outs.values()].__getitem__
+    loop_gains = [math.prod(map(gain, loop)) for loop in loops]
+    numerator = sum([math.prod(map(gain, path)) * _expand(cofactor, loop_gains)[0]
+                     for path, cofactor in paths])
+    return (numerator, *_expand(terms, loop_gains))
+
+
 def graph_determinant(graph: Graph) -> float:
-    return _nontouching_expansion(enumerate_loops(graph))[0]
+    return _evaluate(graph, None, None)[1]
 
 
 def mason_terms(graph: Graph, src: str, dst: str) -> tuple[float, float, float]:
     """``(numerator, determinant, determinant_scale)`` of Mason's formula
     for src -> dst: the sum of each forward path's gain times its cofactor,
     the graph determinant, and the sum of the magnitudes of the
-    determinant's terms."""
-    paths = enumerate_forward_paths(graph, src, dst)
-    loops = enumerate_loops(graph)
-
-    def cofactor(path_nodes):
-        return _nontouching_expansion([l for l in loops if path_nodes.isdisjoint(l[0])])[0]
-
-    numerator = sum(gain * cofactor(set(nodes)) for nodes, gain in paths)
-    return (numerator, *_nontouching_expansion(loops))
+    determinant's terms.  Only the gains are multiplied per call, on the
+    structure ``_plan`` finds once per graph shape."""
+    return _evaluate(graph, src, dst)
 
 
 # A pivot 1 - L, or a determinant, this small relative to the magnitude of

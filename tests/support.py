@@ -116,9 +116,13 @@ def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
 
 def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     """``mna.driving_point_impedance`` of ``lc`` itself, not of
-    ``mna.seen_at(lc, port)``: every unknown of its probed system solved."""
+    ``mna.seen_at(lc, port)``: an open port reads ``math.inf`` unsolved,
+    as on both routes, and any other has every unknown of its probed
+    system solved."""
+    if mna.port_is_open(lc, port):
+        return math.inf
     solution = mna.solve(mna.probed_system(lc, port))
-    return mna.impedance_from_current(-solution[mna.TEST_CURRENT], mna.port_is_open(lc, port))
+    return mna.impedance_from_current(-solution[mna.TEST_CURRENT])
 
 
 def exact_probe(elements, lift: int = 0):

@@ -297,6 +297,12 @@ BRIDGED_BY_INFINITY = (
     Vccs("G1", "d", "e", "d", "b", 1e-3))), ("a", "b")))
 @example((Circuit(BRIDGED_BY_INFINITY + (
     Resistor("R4", "d", "b", 7e3), Vccs("G1", "d", "b", "d", "b", 1e-3))), ("a", "b")))
+# With g_m = 1/R the island's f0 row is identically zero, so a solve of the
+# open port's system would find it singular.
+@example((Circuit((
+    Resistor("R1", "a", GROUND, 10.0), Resistor("FR1", "f0", "b", 10.0),
+    Resistor("FR2", "f1", "f0", 10.0), Vccs("GF", "b", "f0", "f1", "b", 0.1),
+    Resistor("RB", GROUND, "b", math.inf))), ("a", "b")))
 def test_a_port_bridged_only_by_no_current_is_open(case):
     circuit, port = case
     assert mna.port_is_open(circuit, port)
