@@ -241,17 +241,13 @@ def flow_graph_of_system(system: mna.MnaSystem) -> sfg.Graph:
 
 
 def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
-    """Driving-point impedance by node elimination on the flow graph of the
-    probed nodal system of ``mna.probe(lc, port)``: a second route to the
-    nodal solve from the system, and the openness, that the nodal route at
-    the same port reads too, so neither route stamps or searches twice.  A
-    port found open reads ``math.inf`` before any elimination.  A bad port
-    raises as in ``mna.require_port``."""
-    system, is_open = mna.probe(lc, port)
-    if is_open:
-        return math.inf
-    gain = sfg.elimination_gain(flow_graph_of_system(system), SYSTEM_SOURCE, mna.TEST_CURRENT)
-    return mna.impedance_from_current(-gain)
+    """Driving-point impedance by ``mna.port_impedance`` from node
+    elimination on the flow graph of its probed nodal system: a second
+    route to the nodal solve from the system, and the openness, that the
+    nodal route at the same port reads too, so neither route stamps or
+    searches twice.  A bad port raises as in ``mna.require_port``."""
+    return mna.port_impedance(lc, port, lambda system: sfg.elimination_gain(
+        flow_graph_of_system(system), SYSTEM_SOURCE, mna.TEST_CURRENT))
 
 
 # --------------------------------------------------------------------------

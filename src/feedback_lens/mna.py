@@ -226,40 +226,33 @@ def port_is_open(lc: Circuit, port: tuple[str, str]) -> bool:
     return port[1] not in reachable(port[0], paths)
 
 
-def probe(lc: Circuit, port: tuple[str, str]) -> tuple[MnaSystem, bool]:
-    """``(probed_system(view, port), port_is_open(view, port))`` for ``view =
-    seen_at(lc, port)``, the one probe both impedance routes read.  The view
-    keeps the pair by the ordered port, so the second route at a port
-    stamps nothing and searches nothing.  A bad port raises as in
-    ``require_port``."""
+def port_impedance(lc: Circuit, port: tuple[str, str], test_current) -> float:
+    """Impedance of ``port`` from ``test_current(system)``, the solved
+    ``TEST_CURRENT`` of ``system = probed_system(seen_at(lc, port), port)``:
+    the one port reading of both routes.  The view keeps the system and
+    ``port_is_open`` by the ordered port, so a second route stamps and
+    searches nothing.  An open port reads ``math.inf`` unsolved, as its
+    system may be singular and its solved current rounding residue;
+    otherwise the port draws ``-test_current(system)``, and exactly none
+    reads ``math.inf``.  A bad port raises as in ``require_port``."""
     view = seen_at(lc, port)
     probes = vars(view).setdefault("_probes", {})
     if (key := tuple(port)) not in probes:
         probes[key] = probed_system(view, port), port_is_open(view, port)
-    return probes[key]
-
-
-def impedance_from_current(delivered: float) -> float:
-    """Impedance of a port from the current a unit test voltage delivers
-    into it; exactly no current reads ``math.inf``.  Both routes answer an
-    open port (``port_is_open``) before they solve: its system may be
-    singular, and its solved current is rounding residue, which no
-    threshold tells apart from a real port of high impedance beside a large
-    conductance."""
+    system, is_open = probes[key]
+    if is_open:
+        return math.inf
+    delivered = -test_current(system)
     return math.inf if delivered == 0.0 else 1.0 / delivered
 
 
 def driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
-    """Impedance seen into ``port`` with all independent sources zeroed:
-    ``math.inf`` if ``probe(lc, port)`` finds it open, else the current that
-    ``solve`` finds the test source delivering in the probe's system, which
-    the flow-graph route at the same port shares.  Only that last unknown is
-    read, but through ``solve``, so that the benchmark's trace of ``solve``
-    sees every nodal solve.  A bad port raises as in ``require_port``."""
-    system, is_open = probe(lc, port)
-    if is_open:
-        return math.inf
-    return impedance_from_current(-solve(system)[TEST_CURRENT])
+    """Impedance seen into ``port`` with all independent sources zeroed, by
+    ``port_impedance`` from the current that ``solve`` finds the test
+    source delivering.  Only that last unknown is read, but through
+    ``solve``, so that the benchmark's trace of ``solve`` sees every nodal
+    solve.  A bad port raises as in ``require_port``."""
+    return port_impedance(lc, port, lambda system: solve(system)[TEST_CURRENT])
 
 
 def seen_at(lc: Circuit, nodes) -> Circuit:

@@ -86,10 +86,6 @@ def parse_value(token: str, line: int = 0) -> float:
     return value
 
 
-def format_value(value: float) -> str:
-    return repr(float(value))
-
-
 @dataclass(frozen=True)
 class Resistor:
     """``ohms`` is a float, or a ``Decimal`` in a view ``mna.seen_at``
@@ -366,7 +362,7 @@ def serialize(circuit: Circuit) -> str:
         for field, prefix in _KIND_OF[type(e)].words:
             value = getattr(e, field)
             if value is not None:
-                words.append(prefix + format_value(value))
+                words.append(prefix + repr(float(value)))
         lines.append(" ".join(words))
     ann = circuit.annotations
     for directive, port in ((".input", ann.input_port), (".output", ann.output_port)):

@@ -23,15 +23,13 @@ from .netlist import GROUND, BjtPi, Circuit, Element, OpAmp, Primitive, Resistor
 
 
 class InvalidMacroParams(Exception):
-    def __init__(self, name: str, message: str):
-        super().__init__(f"{name}: {message}")
-        self.name = name
+    pass
 
 
 def _require_positive(name: str, **values: float):
     for label, value in values.items():
         if not (value > 0 and math.isfinite(value)):
-            raise InvalidMacroParams(name, f"{label} must be positive and finite")
+            raise InvalidMacroParams(f"{name}: {label} must be positive and finite")
 
 
 def _expand(e: Element) -> list[Primitive]:

@@ -17,6 +17,7 @@ parameter.
 from __future__ import annotations
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -61,7 +62,8 @@ def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
     branch-current unknown.  A VCCS is stamped directly, a BJT as its
     hybrid-pi trio, and an op-amp as its Norton source K/rout into its
     output with rout to ground and rin across its inputs.  A singular node
-    matrix raises ``ZeroDivisionError``."""
+    matrix raises ``ZeroDivisionError``; an infinite resistance stamps
+    nothing."""
     nodes = sorted(circuit.nodes - {GROUND})
     index = {n: i for i, n in enumerate(nodes)}
     y = [[Fraction(0)] * len(nodes) for _ in nodes]
@@ -74,7 +76,8 @@ def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
                     y[index[row]][index[col]] += value
 
     def resistor(a, b, ohms):
-        stamp(a, b, a, b, 1 / Fraction(ohms))
+        if math.isfinite(ohms):
+            stamp(a, b, a, b, 1 / Fraction(ohms))
 
     for e in circuit.elements:
         if isinstance(e, Resistor):
@@ -121,8 +124,8 @@ def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
     system solved."""
     if mna.port_is_open(lc, port):
         return math.inf
-    solution = mna.solve(mna.probed_system(lc, port))
-    return mna.impedance_from_current(-solution[mna.TEST_CURRENT])
+    delivered = -mna.solve(mna.probed_system(lc, port))[mna.TEST_CURRENT]
+    return math.inf if delivered == 0.0 else 1.0 / delivered
 
 
 def exact_probe(elements, lift: int = 0):
@@ -306,7 +309,7 @@ def resistor_meshes(draw, names: list[str]) -> list[Resistor]:
 def active_meshes(draw, max_nodes: int = 8):
     """A ``resistor_meshes`` mesh on ground and n1..nN carrying a VCCS, a BJT
     and an op-amp macro between random nodes: the circuit, its linearization
-    and a port of two distinct nodes."""
+    and a port of two distinct nodes, which is open in about a quarter of draws."""
     names = [GROUND] + [f"n{i}" for i in range(1, draw(st.integers(2, max_nodes)) + 1)]
     node = st.sampled_from(names)
     ohms = decades(1, 7)
@@ -318,9 +321,48 @@ def active_meshes(draw, max_nodes: int = 8):
         OpAmp("X1", draw(node), draw(node), draw(node), draw(decades(1, 5)), draw(ohms),
               draw(st.none() | ohms)),
     ]
-    circuit = Circuit(tuple(elements), "mesh")
     port = tuple(draw(st.permutations(names))[:2])
+    # in about a quarter of draws a port node is x, which no current path
+    # joins to the mesh: it hangs from a mesh node by an infinite resistance
+    # or by a VCCS controlled by one node against itself, or it sits on an
+    # island with y and z that a VCCS drives, where a solve of the port's
+    # current leaves rounding residue rather than zero
+    cut = draw(st.sampled_from((None,) * 5 + ("ohms", "vccs", "island")))
+    if cut == "ohms":
+        elements.append(Resistor("RX", "x", draw(node), math.inf))
+    elif cut == "vccs":
+        control = draw(node)
+        elements.append(Vccs("GX", "x", draw(node), control, control, 1e-3))
+    elif cut == "island":
+        elements += [Resistor("RX", "x", "y", draw(ohms)), Resistor("RY", "y", "z", draw(ohms)),
+                     Vccs("GY", "z", "x", "y", "z", draw(decades(-4, 0)))]
+    if cut:
+        port = tuple(draw(st.permutations((port[0], "x"))))
+    circuit = Circuit(tuple(elements), "mesh")
     return circuit, linearize(circuit), port
+
+
+# Log-uniform ranges of a cascade stage's g_m, beta, r_o, RE, RC, RB and RF.
+CASCADE_RANGES = ((1e-4, 1), (20, 500), (1e4, 1e7), (10, 1e4), (1e3, 1e5), (1e2, 1e4),
+                  (1e4, 1e6))
+
+
+def bjt_cascade(n: int, seed: int) -> str:
+    """Netlist of ``n`` BJT stages from a 1k source resistance at b0 to a
+    10k load at bn, to be probed at (c(n-1), 0).  Stage k is Qk from base bk
+    to collector ck, REk from its emitter and RCk from its collector to
+    ground, RBk from ck to b(k+1) and RFk from b(k+1) back to bk.  Each stage
+    draws its values in ``CASCADE_RANGES`` order from
+    ``random.Random(f"{n}/{seed}")``, with r_pi = beta / g_m."""
+    rng = random.Random(f"{n}/{seed}")
+    lines = ["RS b0 0 1k"]
+    for k in range(n):
+        g_m, beta, r_o, re, rc, rb, rf = (10 ** rng.uniform(math.log10(lo), math.log10(hi))
+                                          for lo, hi in CASCADE_RANGES)
+        lines += [f"Q{k} b{k} c{k} e{k} gm={g_m!r} rpi={beta / g_m!r} ro={r_o!r}",
+                  f"RE{k} e{k} 0 {re!r}", f"RC{k} c{k} 0 {rc!r}",
+                  f"RB{k} c{k} b{k + 1} {rb!r}", f"RF{k} b{k + 1} b{k} {rf!r}"]
+    return "\n".join(lines + [f"RL b{n} 0 10k"]) + "\n"
 
 
 # The circuit builder and the output port of each crosscheck case.

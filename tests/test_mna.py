@@ -622,9 +622,19 @@ INFINITE_OHM_NETWORKS = {
     "shunted": (network(("a", GROUND, 1e3), ("a", "m", math.inf), ("m", GROUND, 2e3),
                         ("a", GROUND, math.inf)), ("a", GROUND)),
 }
-amplifier_ports = feedback_amplifiers(islands=True).flatmap(lambda circuit: st.tuples(
-    st.just(circuit), st.sampled_from([circuit.annotations.input_port,
-                                       circuit.annotations.output_port])))
+
+
+def amplifier_port(circuit):
+    """``circuit`` at one of its annotated ports or, if it has an island,
+    at the open port from the island's node j0 to its output node."""
+    ann = circuit.annotations
+    ports = [ann.input_port, ann.output_port]
+    if "j0" in circuit.nodes:
+        ports.append(("j0", ann.output_port[0]))
+    return st.tuples(st.just(circuit), st.sampled_from(ports))
+
+
+amplifier_ports = feedback_amplifiers(islands=True).flatmap(amplifier_port)
 
 
 # The flow graph's arithmetic is double precision (ROADMAP item 4), so its
