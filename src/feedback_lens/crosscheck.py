@@ -257,6 +257,9 @@ def mason_driving_point_impedance(lc: Circuit, port: tuple[str, str]) -> float:
 ENGINES = ("closed_form", "exact_formula", "mason", "mna")
 EXACT_ENGINES = ("exact_formula", "mason", "mna")
 ENGINE_RTOL = 1e-6  # the largest relative error between exact engines that passes
+# each pair's label ("a vs b") with its two engines, and the exact pairs' labels
+_PAIRS = tuple((f"{a} vs {b}", a, b) for a, b in combinations(ENGINES, 2))
+_EXACT_PAIRS = tuple(f"{a} vs {b}" for a, b in combinations(EXACT_ENGINES, 2))
 
 
 @dataclass(frozen=True)
@@ -285,8 +288,11 @@ def relative_error(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
+_PARAMETERS = tuple(f.name for f in fields(AmplifierParams))
+
+
 def _params_echo(p: AmplifierParams) -> dict[str, float]:
-    echo = {f.name: getattr(p, f.name) for f in fields(p)}
+    echo = {name: getattr(p, name) for name in _PARAMETERS}
     echo["beta"] = p.beta
     return echo
 
@@ -313,9 +319,8 @@ def run_case(
     if problem:
         raise ValueError(f"case {case} at these parameters: {problem}; a product or "
                          "quotient of them leaves the floating-point range")
-    errors = {f"{a} vs {b}": relative_error(values[a], values[b])
-              for a, b in combinations(ENGINES, 2)}
-    ok = all(errors[f"{a} vs {b}"] <= ENGINE_RTOL for a, b in combinations(EXACT_ENGINES, 2))
+    errors = {pair: relative_error(values[a], values[b]) for pair, a, b in _PAIRS}
+    ok = all(errors[pair] <= ENGINE_RTOL for pair in _EXACT_PAIRS)
     if config.closed_error_band is not None:
         center, halfwidth = config.closed_error_band
         ok = ok and abs(closed_error - center) <= halfwidth
@@ -338,7 +343,7 @@ def sweep(
     config: CrossCheckConfig | None = None,
 ) -> list[CrossCheckReport]:
     """One report per grid value of the named AmplifierParams field."""
-    if axis not in {f.name for f in fields(AmplifierParams)}:
+    if axis not in _PARAMETERS:
         raise ValueError(f"unknown parameter {axis!r}")
     return [run_case(case, replace(p, **{axis: value}), config) for value in grid]
 

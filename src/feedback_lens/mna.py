@@ -12,15 +12,21 @@ diagonal absorbs the low bits of the smallest one, and recovering a branch
 current through the node then loses eps * (g_max/g_min) relative accuracy;
 double precision cannot keep that below 1e-12 over the supported six-decade
 component range, and 34 digits keep it far below on every platform.
+
+The stamp slots of each circuit shape, and the openness of each port on
+each set of current paths, are worked out once and kept; only the values
+are converted, and stamped into the kept slots, per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
 from heapq import heappop, heappush
 from itertools import combinations
+from operator import add, sub
 
 from .netlist import GROUND, Circuit, ISource, Resistor, Vccs, Vcvs, VSource, reachable
 
@@ -42,7 +48,7 @@ DECIMAL = Context(prec=34)
 # Scaled pivot below this is treated as a structurally singular system.
 _PIVOT_RTOL = Decimal("1e-12")
 
-_ZERO = Decimal(0)
+_ZERO, _ONE = Decimal(0), Decimal(1)
 
 
 @dataclass(frozen=True)
@@ -70,59 +76,86 @@ def conductance(ohms) -> Decimal:
     return 1 / Decimal(ohms)
 
 
-def _couple(a: list[dict[int, Decimal]], p: int, n: int, cp: int, cn: int, g: Decimal):
-    """Add the current g * (v[cp] - v[cn]) leaving row p and entering row n
-    to the rows ``a`` in place; none for p == n or cp == cn, whose stamps
-    would cancel only to rounding."""
-    if p != n and cp != cn:
-        m, rp, rn = -g, a[p], a[n]
-        rp[cp] = rp.get(cp, _ZERO) + g
-        rp[cn] = rp.get(cn, _ZERO) + m
-        rn[cp] = rn.get(cp, _ZERO) + m
-        rn[cn] = rn.get(cn, _ZERO) + g
+@functools.lru_cache
+def _plan(shape: tuple) -> tuple:
+    """Where the stamps of a circuit of ``shape`` land, each element given
+    as ``(type, terminals, name)`` with the name None unless it names a
+    branch current: ``MnaSystem.names``, each row's ``(column, slot)`` pairs
+    in first-add order, the ``(slot, term)`` matrix adds, a slot numbered by
+    the add that opens it, and the ``(row, op, term)`` right-hand side
+    writes, ``op(b[row], term)`` or for op None the term, in stamping order.
+    The terms are 1, -1, then each element's value and its negation;
+    ground's row and column get no slot."""
+    nodes = sorted({t for _, terminals, _ in shape for t in terminals} - {GROUND})
+    branches = [name for _, _, name in shape if name is not None]
+    dim = len(nodes) + len(branches)
+    row = {n: i for i, n in enumerate(nodes)} | {GROUND: dim}
+    slots, adds, rhs = [{} for _ in range(dim)], [], []  # slots[row][column]
+
+    def couple(p, n, cp, cn, g):
+        # g * (v[cp] - v[cn]) leaves row p and enters row n; none for p == n
+        # or cp == cn, whose stamps would cancel only to rounding
+        if p != n and cp != cn:
+            for r, c, term in ((p, cp, g), (p, cn, g + 1), (n, cp, g + 1), (n, cn, g)):
+                if dim not in (r, c):
+                    adds.append((slots[r].setdefault(c, len(adds)), term))
+
+    k = len(nodes)  # the row of the next branch current
+    for i, (kind, terminals, _) in enumerate(shape):
+        g, (p, n, *control) = 2 * i + 2, map(row.get, terminals)
+        if kind is Resistor:
+            couple(p, n, p, n, g)
+        elif kind is Vccs:
+            couple(p, n, *control, g)
+        elif kind is ISource:
+            # the current flows n1 -> n2 through the source
+            rhs += (p, sub, g), (n, add, g)
+        else:
+            # branch current k flows n1 -> n2 through the voltage source
+            couple(p, n, k, dim, 0)
+            couple(k, dim, p, n, 0)
+            if kind is VSource:
+                rhs.append((k, None, g))
+            else:
+                couple(k, dim, *control, g)
+            k += 1
+    names = tuple(f"V({n})" for n in nodes) + tuple(f"I({b})" for b in branches)
+    return (names, tuple(tuple(r.items()) for r in slots), tuple(adds),
+            tuple(w for w in rhs if w[0] != dim))
 
 
 def assemble(lc: Circuit) -> MnaSystem:
-    """Stamp the standard MNA matrix for a circuit of primitives, reading
-    each element's type once and writing its entries in place; a resistor
-    stamps its ``conductance``.  Any other element raises ``TypeError``."""
-    nodes = tuple(sorted(lc.nodes - {GROUND}))
-    branches = tuple(e.name for e in lc.elements if type(e) in (VSource, Vcvs))
-    dim = len(nodes) + len(branches)
-    # Ground takes the spare index dim; its row and column are dropped below.
-    row = {n: i for i, n in enumerate(nodes)} | {GROUND: dim}
-    a: list[dict[int, Decimal]] = [{} for _ in range(dim + 1)]
-    b = [_ZERO] * (dim + 1)
-    k = len(nodes)  # the row of the next branch current
+    """Stamp the standard MNA matrix for a circuit of primitives: convert
+    each element's value once, a resistor's by ``conductance``, and add it
+    into the slots that ``_plan`` keeps for the circuit's shape, every
+    slot summed in stamping order.  Any other element raises ``TypeError``."""
+    shape, terms = [], [_ONE, -_ONE]
     with localcontext(DECIMAL):
-        one = Decimal(1)
         for e in lc.elements:
             kind = type(e)
             if kind is Resistor:
-                p, n = row[e.n1], row[e.n2]
-                _couple(a, p, n, p, n, conductance(e.ohms))
+                g = conductance(e.ohms)
             elif kind is Vccs:
-                _couple(a, row[e.n1], row[e.n2], row[e.cp], row[e.cn], Decimal(e.gm))
+                g = Decimal(e.gm)
+            elif kind is Vcvs:
+                g = -Decimal(e.gain)
+            elif kind is VSource:
+                g = Decimal(e.volts)
             elif kind is ISource:
-                # e.amps flows n1 -> n2 through the source.
-                b[row[e.n1]] -= Decimal(e.amps)
-                b[row[e.n2]] += Decimal(e.amps)
-            elif kind is VSource or kind is Vcvs:
-                # Branch current k flows n1 -> n2 through it.
-                p, n = row[e.n1], row[e.n2]
-                _couple(a, p, n, k, dim, one)
-                _couple(a, k, dim, p, n, one)
-                if kind is VSource:
-                    b[k] = Decimal(e.volts)
-                else:
-                    _couple(a, k, dim, row[e.cp], row[e.cn], -Decimal(e.gain))
-                k += 1
+                g = Decimal(e.amps)
             else:
                 raise TypeError(f"cannot stamp element {e!r}")
-
-    rows = tuple({j: v for j, v in r.items() if v and j != dim} for r in a[:dim])
-    names = tuple(f"V({n})" for n in nodes) + tuple(f"I({k})" for k in branches)
-    return MnaSystem(rows, tuple(b[:dim]), names)
+            terms += g, -g
+            shape.append((kind, e.terminals, e.name if kind is VSource or kind is Vcvs else None))
+        names, rows, adds, rhs = _plan(tuple(shape))
+        sums = [_ZERO] * len(adds)
+        for slot, term in adds:
+            sums[slot] += terms[term]
+        b = [_ZERO] * len(names)
+        for r, op, term in rhs:
+            b[r] = op(b[r], terms[term]) if op else terms[term]
+    return MnaSystem(tuple({j: v for j, slot in r if (v := sums[slot])} for r in rows),
+                     tuple(b), names)
 
 
 def _eliminate(system: MnaSystem):
@@ -144,8 +177,8 @@ def _eliminate(system: MnaSystem):
         best, ratio = None, _ZERO
         for i in active:
             entry = rows[i].get(k)
-            if entry and abs(entry) / scale[i] > ratio:
-                best, ratio = i, abs(entry) / scale[i]
+            if entry and (scaled := abs(entry) / scale[i]) > ratio:
+                best, ratio = i, scaled
         if ratio < _PIVOT_RTOL:
             raise SingularMatrix("pivot vanished during elimination")
         active.remove(best)
@@ -221,8 +254,13 @@ def moves_current(e) -> bool:
 def port_is_open(lc: Circuit, port: tuple[str, str]) -> bool:
     """True when no current path joins the two port nodes once independent
     sources are zeroed: they lie in different connected components of the
-    graph whose edges are the elements that ``moves_current``."""
-    paths = ((e.n1, e.n2) for e in lc.elements if moves_current(e))
+    graph whose edges are the elements that ``moves_current``.  The answer
+    is kept per tuple of those edges and port."""
+    return _is_open(tuple((e.n1, e.n2) for e in lc.elements if moves_current(e)), tuple(port))
+
+
+@functools.lru_cache
+def _is_open(paths: tuple, port: tuple[str, str]) -> bool:
     return port[1] not in reachable(port[0], paths)
 
 

@@ -6,6 +6,8 @@ straight into an exact ``Fraction`` node-conductance matrix, with no
 branch-current unknown, giving a second route for every driving-point
 check.  ``unreduced_impedance`` probes a circuit without the port
 reduction (``mna.seen_at``) that loading and both impedance routes share.
+``reference_assemble`` stamps a circuit afresh, with no plan kept per
+circuit shape, so ``mna.assemble`` can be held bit-identical to it.
 ``reference_reduce_onto`` keeps the form of that reduction, on a purely
 resistive network, that converts every resistor before it removes any
 node, so the pruning one can be held equal to it.  ``three_probe_loading``
@@ -126,6 +128,53 @@ def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
         return math.inf
     delivered = -mna.solve(mna.probed_system(lc, port))[mna.TEST_CURRENT]
     return math.inf if delivered == 0.0 else 1.0 / delivered
+
+
+def reference_assemble(lc: Circuit) -> mna.MnaSystem:
+    """``mna.assemble`` as it stamped before it kept a plan per circuit
+    shape: every element's entries written into row dicts in place, each
+    row's keys in first-add order, then zeros and ground dropped."""
+    def couple(a, p, n, cp, cn, g):
+        if p != n and cp != cn:
+            m, rp, rn = -g, a[p], a[n]
+            rp[cp] = rp.get(cp, Decimal(0)) + g
+            rp[cn] = rp.get(cn, Decimal(0)) + m
+            rn[cp] = rn.get(cp, Decimal(0)) + m
+            rn[cn] = rn.get(cn, Decimal(0)) + g
+
+    nodes = tuple(sorted(lc.nodes - {GROUND}))
+    branches = tuple(e.name for e in lc.elements if type(e) in (VSource, Vcvs))
+    dim = len(nodes) + len(branches)
+    row = {n: i for i, n in enumerate(nodes)} | {GROUND: dim}
+    a: list[dict[int, Decimal]] = [{} for _ in range(dim + 1)]
+    b = [Decimal(0)] * (dim + 1)
+    k = len(nodes)
+    with localcontext(mna.DECIMAL):
+        one = Decimal(1)
+        for e in lc.elements:
+            kind = type(e)
+            if kind is Resistor:
+                p, n = row[e.n1], row[e.n2]
+                couple(a, p, n, p, n, mna.conductance(e.ohms))
+            elif kind is Vccs:
+                couple(a, row[e.n1], row[e.n2], row[e.cp], row[e.cn], Decimal(e.gm))
+            elif kind is ISource:
+                b[row[e.n1]] -= Decimal(e.amps)
+                b[row[e.n2]] += Decimal(e.amps)
+            elif kind is VSource or kind is Vcvs:
+                p, n = row[e.n1], row[e.n2]
+                couple(a, p, n, k, dim, one)
+                couple(a, k, dim, p, n, one)
+                if kind is VSource:
+                    b[k] = Decimal(e.volts)
+                else:
+                    couple(a, k, dim, row[e.cp], row[e.cn], -Decimal(e.gain))
+                k += 1
+            else:
+                raise TypeError(f"cannot stamp element {e!r}")
+    rows = tuple({j: v for j, v in r.items() if v and j != dim} for r in a[:dim])
+    names = tuple(f"V({n})" for n in nodes) + tuple(f"I({k})" for k in branches)
+    return mna.MnaSystem(rows, tuple(b[:dim]), names)
 
 
 def exact_probe(elements, lift: int = 0):

@@ -49,6 +49,18 @@ def test_the_island_is_singular_at_a_port_to_ground(route):
         route(linearize(parse_netlist(ISLAND)), ("a", "0"))
 
 
+# The feedback network's RF1 is an island of its own: nothing fixes the
+# level of j1 and j0, so a port across it has no defined impedance.
+FLOATING_FEEDBACK = ("Q1 b c 0 gm=40m rpi=2.5k ro=100k\nRC c 0 10k\nRF0 c b 100k\n"
+                     "RF1 j1 j0 1k\n.input b 0\n.output c 0\n.feedback RF0 RF1\n")
+
+
+@mason_fails(sfg.ZeroDeterminant, 4)
+def test_a_port_across_an_island_of_the_feedback_network_is_singular(route):
+    with pytest.raises(mna.SingularMatrix):
+        route(linearize(parse_netlist(FLOATING_FEEDBACK)), ("j1", "j0"))
+
+
 @xfail(mna.SingularMatrix, 3)
 @pytest.mark.parametrize("n, seed, ohms", [(20, 8, 4966.493966730433),
                                            (30, 0, 1627.8039030278057)])
