@@ -340,9 +340,9 @@ def closed_form_rx_case1(p: AmplifierParams) -> float:
 
 def exact_rx_case1(p: AmplifierParams) -> float:
     """Exact case-1 R_X (matches the nodal solution of the case-1 model)."""
-    u = (p.K + 1.0) / (p.r_out + p.r_pi)
+    u = (p.K + 1) / (p.r_out + p.r_pi)
     r1 = p.R_sense
-    return (p.r_o * (1.0 + r1 * (p.beta + 1.0) * u) + r1) / (1.0 + r1 * u)
+    return (p.r_o * (1 + r1 * (p.beta + 1) * u) + r1) / (1 + r1 * u)
 
 
 def closed_form_rx_case2(p: AmplifierParams) -> float:

@@ -1,25 +1,29 @@
 """Shared generators and independent oracles for the test suite.
 
-The impedance oracle here deliberately avoids the package's stamping,
-macro expansion and elimination code: it stamps the macro-level circuit
-straight into an exact ``Fraction`` node-conductance matrix, with no
-branch-current unknown, giving a second route for every driving-point
-check.  ``unreduced_impedance`` probes a circuit without the port
-reduction (``mna.seen_at``) that loading and both impedance routes share.
+``exact_solve`` is the suite's one exact nodal reference.  It avoids the
+package's stamping, macro expansion and elimination code: it stamps the
+macro-level circuit, every primitive and its own models of the Q and X
+macros, straight into a sparse modified-nodal system in ``Fraction``s,
+with one unknown per voltage-defined branch, and returns every unknown
+exactly.  ``exact_impedance`` reads a driving-point impedance from it,
+the second route for every impedance check.  ``three_probe_loading`` is
+the loading of a feedback network as its probes define it, each probe
+solved by ``exact_solve``, with no reduction and no two-port parameter.
+``unreduced_impedance`` probes a circuit without the port reduction
+(``mna.seen_at``) that loading and both impedance routes share.
 ``reference_assemble`` stamps a circuit afresh, with no plan kept per
 circuit shape, so ``mna.assemble`` can be held bit-identical to it.
 ``reference_reduce_onto`` keeps the form of that reduction, on a purely
 resistive network, that converts every resistor before it removes any
-node, so the pruning one can be held equal to it.  ``three_probe_loading``
-is the loading of a feedback network as its probes define it, solved in
-exact ``Fraction`` nodal arithmetic with no reduction and no two-port
-parameter.
+node, so the pruning one can be held equal to it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -58,65 +62,103 @@ def random_resistor_mesh(rng: np.random.Generator, n_nodes: int = 5,
     return Circuit(tuple(elements))
 
 
-def conductance_impedance_oracle(circuit, port: tuple[str, str]) -> float:
-    """Driving-point impedance of ``port`` by an exact ``Fraction`` nodal
-    solve of the macro-level circuit: one KCL row per non-ground node and no
-    branch-current unknown.  A VCCS is stamped directly, a BJT as its
-    hybrid-pi trio, and an op-amp as its Norton source K/rout into its
-    output with rout to ground and rin across its inputs.  A singular node
-    matrix raises ``ZeroDivisionError``; an infinite resistance stamps
-    nothing."""
-    nodes = sorted(circuit.nodes - {GROUND})
-    index = {n: i for i, n in enumerate(nodes)}
-    y = [[Fraction(0)] * len(nodes) for _ in nodes]
+class Singular(Exception):
+    """The system of ``exact_solve`` has no unique solution."""
 
-    def stamp(a, b, cp, cn, g):
-        """Current g * v(cp, cn) leaving node a and entering node b."""
-        for row, out in ((a, g), (b, -g)):
-            for col, value in ((cp, out), (cn, -out)):
-                if GROUND not in (row, col):
-                    y[index[row]][index[col]] += value
 
-    def resistor(a, b, ohms):
-        if math.isfinite(ohms):
-            stamp(a, b, a, b, 1 / Fraction(ohms))
+def exact_solve(elements) -> dict[str, Fraction]:
+    """Every unknown of the circuit of ``elements``, exactly: each node's
+    voltage by its name, ground's 0 among them, and the current of each V
+    or E, flowing n1 to n2 through it, by its element's name.  A Q stamps
+    its hybrid-pi trio and an X its Norton model, K/rout times v(plus,
+    minus) driven into out beside rout, with rin across its inputs.  Each
+    step eliminates the column with the fewest entries on the row with the
+    fewest; exact arithmetic makes any non-zero pivot right, so the order
+    is a matter of speed alone.  No unique solution raises ``Singular``."""
+    # a row per unknown, keyed by column; column None is the right-hand side
+    rows: dict[str, dict] = {n: {} for e in elements for n in e.terminals if n != GROUND}
 
-    for e in circuit.elements:
-        if isinstance(e, Resistor):
+    def add(row, col, value):
+        if GROUND not in (row, col):
+            rows[row][col] = rows[row].get(col, 0) + Fraction(value)
+
+    def drive(n1, n2, cp, cn, g):
+        """g * v(cp, cn) leaving n1 and entering n2."""
+        for node, out in ((n1, g), (n2, -g)):
+            add(node, cp, out)
+            add(node, cn, -out)
+
+    def resistor(n1, n2, ohms):
+        if n1 != n2 and math.isfinite(ohms):
+            drive(n1, n2, n1, n2, 1 / Fraction(ohms))
+
+    for e in elements:
+        kind = type(e)
+        if kind is Resistor:
             resistor(e.n1, e.n2, e.ohms)
-        elif isinstance(e, Vccs):
-            stamp(e.n1, e.n2, e.cp, e.cn, Fraction(e.gm))
-        elif isinstance(e, BjtPi):
+        elif kind is Vccs:
+            drive(e.n1, e.n2, e.cp, e.cn, e.gm)
+        elif kind is ISource:
+            add(e.n1, None, -e.amps)
+            add(e.n2, None, e.amps)
+        elif kind is VSource or kind is Vcvs:
+            if e.name in rows:
+                raise ValueError(f"{e.name!r} names another unknown")
+            rows[e.name] = {}
+            for node, sign in ((e.n1, 1), (e.n2, -1)):
+                add(node, e.name, sign)
+                add(e.name, node, sign)
+            if kind is VSource:
+                add(e.name, None, e.volts)
+            else:
+                add(e.name, e.cp, -e.gain)
+                add(e.name, e.cn, e.gain)
+        elif kind is BjtPi:
             resistor(e.base, e.emitter, e.rpi)
-            stamp(e.collector, e.emitter, e.base, e.emitter, Fraction(e.gm))
+            drive(e.collector, e.emitter, e.base, e.emitter, e.gm)
             resistor(e.collector, e.emitter, e.ro)
-        elif isinstance(e, OpAmp):
-            stamp(GROUND, e.out, e.plus, e.minus, Fraction(e.gain) / Fraction(e.rout))
+        elif kind is OpAmp:
+            drive(GROUND, e.out, e.plus, e.minus, Fraction(e.gain) / Fraction(e.rout))
             resistor(e.out, GROUND, e.rout)
             if e.rin is not None:
                 resistor(e.plus, e.minus, e.rin)
         else:
-            raise TypeError(f"the oracle has no model of {e!r}")
-    # a unit current into port[0] and out of port[1]
-    current = [Fraction(0)] * len(nodes)
-    for node, amps in zip(port, (1, -1)):
-        if node != GROUND:
-            current[index[node]] += amps
-    # Gauss-Jordan elimination on [y | current], exact
-    n = len(nodes)
-    rows = [row + [i] for row, i in zip(y, current)]
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            raise ZeroDivisionError("singular node matrix")
-        rows[k], rows[p] = rows[p], rows[k]
-        for i, r in enumerate(rows):
-            if i != k and r[k]:
-                factor = r[k] / rows[k][k]
-                for j in range(k, n + 1):
-                    r[j] -= factor * rows[k][j]
-    volts = {node: rows[i][-1] / rows[i][i] for node, i in index.items()} | {GROUND: 0}
-    return float(volts[port[0]] - volts[port[1]])
+            raise TypeError(f"the reference has no model of {e!r}")
+    unknowns = set(rows)
+    rows = {r: {c: v for c, v in entries.items() if v} for r, entries in rows.items()}
+    pivots = []
+    while unknowns:
+        count = Counter(c for entries in rows.values() for c in entries)
+        col = min(unknowns, key=lambda c: (count[c], c))
+        if not count[col]:
+            raise Singular(f"no row is left to define {col!r}")
+        row = min((r for r in rows if col in rows[r]), key=lambda r: (len(rows[r]), r))
+        pivot = rows.pop(row)
+        unknowns.remove(col)
+        for entries in rows.values():
+            if col in entries:
+                factor = entries.pop(col) / pivot[col]
+                for c, v in pivot.items():
+                    if c != col:
+                        entries[c] = entries.get(c, 0) - factor * v
+                        if not entries[c]:
+                            del entries[c]
+        pivots.append((col, pivot.pop(None, 0), pivot))
+    x = {GROUND: Fraction(0)}
+    for col, b, pivot in reversed(pivots):
+        x[col] = (b - sum(v * x[c] for c, v in pivot.items() if c != col)) / pivot[col]
+    return x
+
+
+def exact_impedance(circuit: Circuit, port: tuple[str, str]) -> Fraction | float:
+    """Impedance of ``port`` of ``circuit``, macros and all, with every
+    independent source zeroed, by ``exact_solve``: the inverse of the
+    current that a unit test voltage across the port delivers, and
+    ``math.inf`` when that is exactly none."""
+    elements = [replace(e, volts=0) if isinstance(e, VSource) else e
+                for e in circuit.elements if not isinstance(e, ISource)]
+    delivered = -exact_solve(elements + [VSource("__test", *port, 1)])["__test"]
+    return 1 / delivered if delivered else math.inf
 
 
 def unreduced_impedance(lc: Circuit, port: tuple[str, str]) -> float:
@@ -177,78 +219,38 @@ def reference_assemble(lc: Circuit) -> mna.MnaSystem:
     return mna.MnaSystem(rows, tuple(b[:dim]), names)
 
 
-def exact_probe(elements, lift: int = 0):
-    """Voltage of every node and current of every voltage source (flowing
-    n1 to n2 through it) of a circuit of resistors and independent sources,
-    by an exact ``Fraction`` nodal solve with one unknown per voltage
-    source.  A part of the circuit with no ground, joined within by its
-    sources and finite resistors, is tied to ground: its first node is held
-    at ``lift`` times the part's number, in volts.  A circuit with no
-    solution raises ``mna.SingularMatrix``."""
-    paths = [(e.n1, e.n2) for e in elements if not isinstance(e, Resistor)
-             or e.n1 != e.n2 and math.isfinite(e.ohms)]
-    nodes = sorted({t for e in elements for t in e.terminals} - {GROUND})
-    reached, ties = reachable(GROUND, paths), []
-    for node in nodes:
-        if node not in reached:
-            reached |= reachable(node, paths)
-            ties.append(VSource(f"__tie{len(ties)}", node, GROUND, lift * (len(ties) + 1)))
-    sources = [e for e in elements if isinstance(e, VSource)] + ties
-    index = {n: i for i, n in enumerate(nodes)} | {e.name: len(nodes) + i
-                                                   for i, e in enumerate(sources)}
-    n = len(index)
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
-
-    def add(row, col, value):
-        if GROUND not in (row, col):
-            rows[index[row]][n if col is None else index[col]] += value
-
-    for e in elements:
-        if isinstance(e, Resistor) and e.n1 != e.n2 and math.isfinite(e.ohms):
-            g = 1 / Fraction(e.ohms)
-            for a, b in ((e.n1, e.n2), (e.n2, e.n1)):
-                add(a, a, g)
-                add(a, b, -g)
-        elif isinstance(e, ISource):
-            add(e.n1, None, -Fraction(e.amps))
-            add(e.n2, None, Fraction(e.amps))
-    for e in sources:
-        for node, sign in ((e.n1, 1), (e.n2, -1)):
-            add(node, e.name, sign)
-            add(e.name, node, sign)
-        add(e.name, None, Fraction(e.volts))
-    # Gauss-Jordan elimination, exact
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            raise mna.SingularMatrix("the probe circuit has no unique solution")
-        rows[k], rows[p] = rows[p], rows[k]
-        for i, r in enumerate(rows):
-            if i != k and r[k]:
-                factor = r[k] / rows[k][k]
-                for j in range(k, n + 1):
-                    r[j] -= factor * rows[k][j]
-    x = {name: rows[i][n] / rows[i][i] for name, i in index.items()}
-    return x | {GROUND: Fraction(0)}
-
-
 def three_probe_loading(net: Circuit, topo, input_port, output_port) -> LoadingModel:
     """The loading of the resistive ``net`` as its probes define it, each
-    probe solved by ``exact_probe``.  R_if and R_of are each the inverse of
+    probe solved by ``exact_solve``.  R_if and R_of are each the inverse of
     the current a unit test voltage across its side draws, with the other
     side shorted when it is shunt and open when series (``inf`` for no
     current).  f is the input side's voltage (series mixing) or the current
     its short delivers (shunt mixing) per unit excitation of the output
     side: a current into it for series sensing, a voltage across it for
-    shunt sensing.  A quantity that changes when the ties of
-    ``exact_probe`` are lifted off 0 V is one the probes do not define, and
-    raises ``mna.SingularMatrix``; a probed side node that neither the
-    network nor a short brings raises ``mna.UnknownNode``."""
+    shunt sensing.  Each part of a probe circuit that no current path joins
+    to ground is tied to it: its first node is held at 0 V, and again at
+    the part's number in volts.  A quantity that changes between the two
+    is one the probes do not define, and it raises ``mna.SingularMatrix``,
+    as a probe circuit with no solution does; a probed side node that
+    neither the network nor a short brings raises ``mna.UnknownNode``."""
     shunt_in = topo.input_mix is Mixing.SHUNT
     shunt_out = topo.output_sense is Mixing.SHUNT
 
     def defined(read, *probe):
-        values = {read(exact_probe(net.elements + probe, lift)) for lift in (0, 1)}
+        elements = net.elements + probe
+        paths = [(e.n1, e.n2) for e in elements if not isinstance(e, Resistor)
+                 or e.n1 != e.n2 and math.isfinite(e.ohms)]
+        reached, floating = reachable(GROUND, paths), []
+        for node in sorted({t for e in elements for t in e.terminals} - {GROUND}):
+            if node not in reached:
+                reached |= reachable(node, paths)
+                floating.append(node)
+        try:
+            values = {read(exact_solve(elements + tuple(VSource(f"__tie{k}", node, GROUND, lift * k)
+                                                        for k, node in enumerate(floating, 1))))
+                      for lift in (0, 1)}
+        except Singular as exc:
+            raise mna.SingularMatrix(f"the probe circuit has no unique solution: {exc}") from exc
         if len(values) > 1:
             raise mna.SingularMatrix("the probes leave a voltage undefined")
         return values.pop()

@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from feedback_lens.netlist import parse_netlist
+
+from support import exact_impedance
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
@@ -41,6 +45,15 @@ def test_each_workload_sets_up_and_runs_its_first_operations(workloads, name, op
         workload.op(i, stats)
     assert stats.attempted == operations
     assert stats.failed == 0, stats.examples
+
+
+def test_the_benchmark_oracle_agrees_with_the_exact_reference(workloads):
+    # the benchmark gates on its own float oracle; held to the exact one
+    # here, the two references cannot disagree silently
+    for case in workloads.NetlistScale(1, ROOT).cases:
+        want = float(exact_impedance(parse_netlist(case.text), case.port))
+        assert case.expected()[0] == pytest.approx(want, rel=workloads.ORACLE_RTOL, abs=0), (
+            case.kind, case.size)
 
 
 def test_a_short_traced_run_sees_every_layer_and_one_stamp_per_impedance():

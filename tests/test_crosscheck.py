@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from feedback_lens import crosscheck as cc, mna
-from feedback_lens.feedback import AmplifierParams, exact_rx_case1, exact_rx_case2
+from feedback_lens.feedback import AmplifierParams
 from feedback_lens.netlist import GROUND, Circuit, ISource, Vcvs, VSource, parse_netlist_file
 from feedback_lens.smallsignal import linearize
 
-from support import (CASES, amplifier_params, decades, draw_params, feedback_amplifiers,
-                     random_resistor_mesh)
+from support import (CASES, amplifier_params, decades, draw_params, exact_impedance,
+                     feedback_amplifiers, random_resistor_mesh)
 
 TYPICAL = AmplifierParams.typical()
 
@@ -44,24 +44,21 @@ def test_engines_reject_unknown_case(engine, case):
         engine(case, TYPICAL)
 
 
-def test_mna_rx_exact_on_badly_scaled_port():
-    # Conductances span 1.7e-7 to 0.94 S; a LAPACK solve refined in extended
-    # precision lands 6.4e-9 from the exact value here.
-    values = dict(K=69e3, r_out=30e3, R1=5.8e6, g_m=0.94, r_pi=290.0, r_o=1.6e6)
-    exact = exact_rx_case2(AmplifierParams(**{k: Fraction(v) for k, v in values.items()}))
-    assert cc.mna_rx(2, AmplifierParams(**values)) == pytest.approx(float(exact), rel=1e-9)
-
-
-def _exact_rx(case, p):
-    """R_X of the exact formula evaluated in rational arithmetic."""
-    names = ("K", "r_out", "R1", "g_m", "r_pi", "r_o")
-    exact = AmplifierParams(**{f: Fraction(getattr(p, f)) for f in names})
-    return float(exact_rx_case1(exact) if case == 1 else exact_rx_case2(exact))
-
-
-@given(st.sampled_from((1, 2)), amplifier_params)
-def test_mna_rx_matches_exact_rational_evaluation(case, p):
-    assert cc.mna_rx(case, p) == pytest.approx(_exact_rx(case, p), rel=1e-12)
+# The example is a badly scaled port: its conductances span 1.7e-7 to 0.94 S,
+# and a LAPACK solve refined in extended precision lands 6.4e-9 off there.
+@given(st.sampled_from((1, 2)), amplifier_params, st.none() | decades(1, 7))
+@example(2, AmplifierParams(K=69e3, r_out=30e3, R1=5.8e6, g_m=0.94, r_pi=290.0, r_o=1.6e6), None)
+def test_mna_rx_matches_exact_rational_evaluation(case, p, r_in):
+    # The exact formula and the exact solve of its case circuit are rational
+    # functions of the parameters: equal at random rational points, they are
+    # one function but for a chance their degrees bound (Schwartz, 1980).
+    p = replace(p, R_in=r_in or math.inf)
+    exact = replace(p, **{f: Fraction(getattr(p, f)) for f in MOVES_RX
+                          if math.isfinite(getattr(p, f))})
+    circuit, port = CASES[case]
+    rx = cc.exact_rx(case, exact)
+    assert type(rx) is Fraction and rx == exact_impedance(circuit(exact), port)
+    assert cc.mna_rx(case, p) == pytest.approx(float(rx), rel=1e-12)
 
 
 # Each parameter at either end of the draw_params ranges.
@@ -79,7 +76,7 @@ def test_rx_at_the_parameter_corners_is_finite(case):
     # 2.1e-4 at the case-2 corners.
     circuit, port = CASES[case]
     for p in CORNERS:
-        exact = _exact_rx(case, p)
+        exact = float(exact_impedance(circuit(p), port))
         assert cc.mna_rx(case, p) == pytest.approx(exact, rel=1e-12), p
         assert cc.mason_driving_point_impedance(circuit(p), port) == pytest.approx(
             exact, rel=1e-3), p

@@ -2,7 +2,6 @@ import gc
 import math
 import weakref
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +23,8 @@ from feedback_lens.netlist import (
     serialize,
 )
 from feedback_lens.smallsignal import linearize
-from support import (FIG3, draw_params, feedback_amplifiers, fig3_amplifier, outcome,
-                     resistor_meshes, three_probe_loading)
+from support import (FIG3, draw_params, exact_solve, feedback_amplifiers, fig3_amplifier,
+                     outcome, resistor_meshes, three_probe_loading)
 
 TYPICAL = AmplifierParams.typical()
 
@@ -279,22 +278,13 @@ def test_loading_matches_the_three_probe_definition(topo, case):
 
 def two_port_y(net, ports):
     """Short-circuit admittance matrix of the two-port whose ports join each
-    of ``ports`` to ground, in exact arithmetic: the Schur complement of the
-    node conductance matrix onto the port nodes."""
-    nodes = sorted(net.nodes - {GROUND})
-    g = {(a, b): Fraction(0) for a in nodes for b in nodes}
-    for e in net.elements:
-        c = 1 / Fraction(e.ohms)
-        for a, b, v in ((e.n1, e.n1, c), (e.n2, e.n2, c), (e.n1, e.n2, -c), (e.n2, e.n1, -c)):
-            if GROUND not in (a, b):
-                g[a, b] += v
-    rest = list(nodes)
-    for k in (n for n in nodes if n not in ports):
-        rest.remove(k)
-        for i in rest:
-            for j in rest:
-                g[i, j] -= g[i, k] * g[k, j] / g[k, k]
-    return [[g[i, j] for j in ports] for i in ports]
+    of ``ports`` to ground, by ``exact_solve``: entry (i, j) is the current
+    port i draws from a unit voltage at port j, the other port shorted."""
+    def drawn(j):
+        x = exact_solve(net.elements + tuple(VSource(f"__port{i}", node, GROUND, int(i == j))
+                                             for i, node in enumerate(ports)))
+        return [-x[f"__port{i}"] for i in range(len(ports))]
+    return [list(row) for row in zip(*map(drawn, range(len(ports))))]
 
 
 def two_port_loading(y, topo):

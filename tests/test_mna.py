@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from feedback_lens import crosscheck as cc, mna
 from feedback_lens.feedback import AmplifierParams, _classify, loading_of_circuit
@@ -14,7 +14,7 @@ from feedback_lens.netlist import (
 )
 from feedback_lens.smallsignal import linearize
 
-from support import (CASES, active_meshes, conductance_impedance_oracle, decades,
+from support import (CASES, active_meshes, bjt_cascade, decades, exact_impedance,
                      feedback_amplifiers, outcome, random_resistor_mesh, reference_assemble,
                      reference_reduce_onto, resistive_networks, resistor_meshes,
                      unreduced_impedance)
@@ -211,7 +211,7 @@ def test_a_stamp_that_carries_no_current_leaves_no_entry():
         assert [set(row) for row in mna.assemble(lc).rows] == [{0}, {1}], g.name
     mesh = parse_netlist("R1 n1 0 10\nR2 n2 0 10\nR5 n5 0 10\nG1 0 n5 n2 n2 0.1\n"
                          "Q1 n5 n2 n1 gm=1 rpi=10 ro=10")
-    expected = conductance_impedance_oracle(mesh, (GROUND, "n1"))
+    expected = float(exact_impedance(mesh, (GROUND, "n1")))
     assert expected == pytest.approx(20 / 9, rel=1e-15)
     for route in ROUTES:
         assert route(linearize(mesh), (GROUND, "n1")) == pytest.approx(expected, rel=1e-12)
@@ -421,11 +421,18 @@ def test_mna_matches_the_exact_oracle_on_active_meshes(case):
     # elimination misses 1e-6, or raises ZeroDeterminant, on about one of
     # these meshes in a thousand.
     circuit, lc, port = case
-    try:
-        expected = conductance_impedance_oracle(circuit, port)
-    except ZeroDivisionError:
-        reject()  # the oracle's node matrix is singular
+    expected = float(exact_impedance(circuit, port))
     assert mna.driving_point_impedance(lc, port) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", range(1, 20))
+def test_bjt_cascades_below_20_stages_solve_within_1e_12_of_exact(n):
+    # pins the nodal arithmetic on deep cascades, where pivots shrink far
+    # below their rows' largest entries, before any change reorders it
+    for seed in range(10):
+        circuit, port = parse_netlist(bjt_cascade(n, seed)), (f"c{n - 1}", GROUND)
+        assert mna.driving_point_impedance(linearize(circuit), port) == pytest.approx(
+            float(exact_impedance(circuit, port)), rel=1e-12, abs=0), seed
 
 
 def test_driving_point_matches_conductance_inversion_oracle():
@@ -433,7 +440,7 @@ def test_driving_point_matches_conductance_inversion_oracle():
     for _ in range(25):
         mesh = random_resistor_mesh(rng, n_nodes=5)
         port = ("n1", GROUND) if rng.uniform() < 0.5 else ("n2", "n4")
-        expected = conductance_impedance_oracle(mesh, port)
+        expected = float(exact_impedance(mesh, port))
         assert mna.driving_point_impedance(mesh, port) == pytest.approx(
             expected, rel=1e-9
         )
@@ -677,10 +684,7 @@ def test_seen_at_keeps_the_control_nodes_of_a_vcvs():
 def test_impedance_of_the_port_reduced_circuit_matches_the_exact_oracle(side, circuit):
     # the feedback network's inner nodes are reduced away before the probe
     port = getattr(circuit.annotations, side)
-    try:
-        expected = conductance_impedance_oracle(circuit, port)
-    except ZeroDivisionError:
-        reject()  # the oracle's node matrix is singular
+    expected = float(exact_impedance(circuit, port))
     assert mna.driving_point_impedance(linearize(circuit), port) == pytest.approx(
         expected, rel=1e-12, abs=0)
 
